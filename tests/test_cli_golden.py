@@ -1,0 +1,64 @@
+"""Byte-exact CLI outputs: stdout and exit code of fixed argv lines in every
+output format, compared against `cli_golden.json`.
+
+The recorded outputs pin the exact layer end to end, so a refactor of the
+arithmetic underneath must leave every byte unchanged. To record them again
+(only when an output is meant to change), run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from schurgas.cli import run
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+ARGV = [
+    ["partitions", "4", "--max-parts", "3"],
+    ["partitions", "6", "--kind", "even-cols"],
+    ["schur", "--shape", "2,1", "--point", "2,3"],
+    ["schur", "--shape", "2,1", "--point", "2,2"],
+    ["schur", "--shape", "2,1", "--point", "0,1,2"],
+    ["zn", "--kind", "hst", "--point", "2,3", "--n", "3"],
+    ["zn", "--kind", "parafermi:2", "--point", "0,1,2", "--n", "3"],
+    ["gpf", "--kind", "even-cols", "--point", "1/2,1/3", "--nmax", "6"],
+    ["gpf", "--kind", "parabose:2", "--point", "2,3", "--nmax", "3"],
+    ["verify", "--all"],
+    ["verify", "--kind", "parafermi:2", "--point=1/2,-1/3,3", "--nmax", "5"],
+    ["verify", "--kind", "even-rows", "--point", "0,1,2", "--nmax", "4"],
+    ["verify", "--kind", "parafermi:1", "--point", "0,1,2", "--nmax", "4"],
+    ["equivalence", "--qmax", "8"],
+    ["thermo", "--kind", "bose", "--spectrum", "eq2", "--beta", "1.0",
+     "--target-n", "0.25", "--nmax", "32"],
+    ["thermo", "--kind", "fermi", "--spectrum", "eq2", "--beta", "1.0", "--mu", "2.0"],
+    ["thermo", "--kind", "hst", "--spectrum", "eq1", "--beta", "2", "--mu", "-1",
+     "--qmax", "4", "--nmax", "8"],
+]
+CASES = [argv + ["--format", fmt] for argv in ARGV for fmt in ("text", "json", "csv")]
+
+
+def record(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return {" ".join(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_is_byte_identical(golden, argv):
+    assert record(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([record(argv) for argv in CASES], indent=1) + "\n")
