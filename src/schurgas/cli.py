@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import z_canonical
@@ -27,7 +26,6 @@ from .series import (
     verify_identity,
 )
 from .statistics import (
-    StatisticsKind,
     UnsupportedKind,
     admitted_partitions,
     kind_name,
@@ -39,24 +37,11 @@ from .thermo import (
     TruncationTail,
     evaluate,
     solve_mu,
-    sweep_csv,
+    thermo_csv,
 )
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    fmt: str
-    out: str | None
-    seed: int
-    kind: StatisticsKind | None = None
-    point: tuple[Fraction, ...] | None = None
-    spectrum: str | None = None
-    nmax: int | None = None
-    qmax: int | None = None
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
@@ -91,9 +76,9 @@ def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return tuple(seen)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -103,37 +88,36 @@ def _partition_label(lam: tuple[int, ...]) -> str:
     return ",".join(str(p) for p in lam) if lam else "-"
 
 
-def _cmd_partitions(cfg: RunConfig, args: argparse.Namespace) -> int:
-    kind = cfg.kind if cfg.kind else parse_kind("hst")
+def _cmd_partitions(args: argparse.Namespace) -> int:
     max_parts = args.max_parts if args.max_parts is not None else max(args.n, 1)
-    parts = admitted_partitions(kind, args.n, max_parts)
-    if cfg.fmt == "json":
+    parts = admitted_partitions(args.kind, args.n, max_parts)
+    if args.format == "json":
         text = json.dumps([list(lam) for lam in parts]) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = "partition\n" + "".join(
             ("+".join(str(p) for p in lam) if lam else "") + "\n" for lam in parts
         )
     else:
         text = "".join(_partition_label(lam) + "\n" for lam in parts)
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_schur(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_schur(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    tab = schur_tableau(shape, cfg.point)
+    tab = schur_tableau(shape, args.point)
     try:
-        alt: Fraction | None = schur_bialternant(shape, cfg.point)
+        alt: Fraction | None = schur_bialternant(shape, args.point)
     except DistinctnessViolation:
         alt = None
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = json.dumps({
             "shape": list(shape),
-            "point": [frac_str(x) for x in cfg.point],
+            "point": [frac_str(x) for x in args.point],
             "tableau": frac_str(tab),
             "bialternant": frac_str(alt) if alt is not None else None,
         }) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = "backend,value\ntableau,{}\nbialternant,{}\n".format(
             frac_str(tab), frac_str(alt) if alt is not None else "")
     else:
@@ -142,58 +126,58 @@ def _cmd_schur(cfg: RunConfig, args: argparse.Namespace) -> int:
             text += "bialternant = unavailable (repeated coordinates)\n"
         else:
             text += f"bialternant = {frac_str(alt)}\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_zn(cfg: RunConfig, args: argparse.Namespace) -> int:
-    value = z_canonical(cfg.kind, cfg.point, args.n)
-    if cfg.fmt == "json":
+def _cmd_zn(args: argparse.Namespace) -> int:
+    value = z_canonical(args.kind, args.point, args.n)
+    if args.format == "json":
         text = json.dumps({
-            "kind": kind_name(cfg.kind),
-            "point": [frac_str(x) for x in cfg.point],
+            "kind": kind_name(args.kind),
+            "point": [frac_str(x) for x in args.point],
             "n": args.n,
             "value": frac_str(value),
         }) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = f"n,value\n{args.n},{frac_str(value)}\n"
     else:
         text = frac_str(value) + "\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_gpf(cfg: RunConfig, args: argparse.Namespace) -> int:
-    series = gpf_definition(cfg.kind, cfg.point, cfg.nmax)
-    if cfg.fmt == "json":
+def _cmd_gpf(args: argparse.Namespace) -> int:
+    series = gpf_definition(args.kind, args.point, args.nmax)
+    if args.format == "json":
         text = json.dumps({
-            "kind": kind_name(cfg.kind),
-            "point": [frac_str(x) for x in cfg.point],
-            "nmax": cfg.nmax,
+            "kind": kind_name(args.kind),
+            "point": [frac_str(x) for x in args.point],
+            "nmax": args.nmax,
             "coeffs": series.json_coeffs(),
         }) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = "n,coeff\n" + "".join(
             f"{n},{frac_str(c)}\n" for n, c in enumerate(series.coeffs))
     else:
         text = "".join(f"{n}: {frac_str(c)}\n" for n, c in enumerate(series.coeffs))
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    kinds = [parse_kind(k) for k in VERIFY_ALL_KINDS] if args.all else [cfg.kind]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    kinds = [parse_kind(k) for k in VERIFY_ALL_KINDS] if args.all else [args.kind]
     if kinds == [None]:
         raise ValueError("verify needs --kind or --all")
-    rng = random.Random(cfg.seed)
-    if cfg.point is not None:
-        points = [cfg.point]
+    rng = random.Random(args.seed)
+    if args.point is not None:
+        points = [args.point]
     else:
         points = [tuple(Fraction(p) for p in (2, 3, 5)), random_point(rng, 3)]
-    reports = [verify_identity(kind, point, cfg.nmax) for kind in kinds for point in points]
-    if cfg.fmt == "json":
+    reports = [verify_identity(kind, point, args.nmax) for kind in kinds for point in points]
+    if args.format == "json":
         text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = "kind,point,nmax,equal,first_mismatch\n" + "".join(
             '{},"{}",{},{},{}\n'.format(
                 kind_name(r.kind),
@@ -209,15 +193,15 @@ def _cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
             pt = ", ".join(frac_str(x) for x in r.point)
             lines.append(f"{kind_name(r.kind)} @ ({pt}) nmax={r.nmax}: {where}\n")
         text = "".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     return 0 if all(r.equal for r in reports) else 1
 
 
-def _cmd_equivalence(cfg: RunConfig, args: argparse.Namespace) -> int:
-    report = check_equivalence(cfg.qmax)
-    if cfg.fmt == "json":
+def _cmd_equivalence(args: argparse.Namespace) -> int:
+    report = check_equivalence(args.qmax)
+    if args.format == "json":
         text = report.to_json() + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = report.degeneracy_csv()
     else:
         lines = [f"qmax = {report.qmax}\n", f"equal = {report.equal}\n"]
@@ -229,32 +213,32 @@ def _cmd_equivalence(cfg: RunConfig, args: argparse.Namespace) -> int:
         for t, bose_mult, pair_mult in report.factor_audit:
             lines.append(f"q^{t}: bose factor multiplicity {bose_mult}, pair count {pair_mult}\n")
         text = "".join(lines)
-    _emit(cfg, text)
+    _emit(args, text)
     return 0 if report.equal else 1
 
 
-def _cmd_thermo(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = build_spectrum(cfg.spectrum, cfg.qmax)
+def _cmd_thermo(args: argparse.Namespace) -> int:
+    spec = build_spectrum(args.spectrum, args.qmax)
     if args.target_n is not None:
-        mu = solve_mu(cfg.kind, spec, args.beta, args.target_n, cfg.nmax)
+        mu = solve_mu(args.kind, spec, args.beta, args.target_n, args.nmax)
     else:
         mu = args.mu
-    params = ThermoParams(args.beta, mu, cfg.nmax)
-    result = evaluate(cfg.kind, spec, params)
-    if cfg.fmt == "json":
+    params = ThermoParams(args.beta, mu, args.nmax)
+    result = evaluate(args.kind, spec, params)
+    if args.format == "json":
         text = json.dumps({
-            "kind": kind_name(cfg.kind),
-            "spectrum": cfg.spectrum,
-            "qmax": cfg.qmax,
-            "nmax": cfg.nmax,
+            "kind": kind_name(args.kind),
+            "spectrum": args.spectrum,
+            "qmax": args.qmax,
+            "nmax": args.nmax,
             "beta_hw": args.beta,
             "mu_over_hw": mu,
             "logZ": result.logZ,
             "mean_n": result.mean_n,
             "mean_e_over_hw": result.mean_e_over_hw,
         }) + "\n"
-    elif cfg.fmt == "csv":
-        text = sweep_csv(cfg.kind, spec, [params])
+    elif args.format == "csv":
+        text = thermo_csv([(params, result)])
     else:
         text = (
             f"mu_over_hw = {mu!r}\n"
@@ -262,7 +246,7 @@ def _cmd_thermo(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"meanN = {result.mean_n!r}\n"
             f"meanE_over_hw = {result.mean_e_over_hw!r}\n"
         )
-    _emit(cfg, text)
+    _emit(args, text)
     return 0
 
 
@@ -343,18 +327,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            fmt=args.format,
-            out=args.out,
-            seed=args.seed,
-            kind=parse_kind(args.kind) if getattr(args, "kind", None) else None,
-            point=parse_point(args.point) if getattr(args, "point", None) else None,
-            spectrum=getattr(args, "spectrum", None),
-            nmax=getattr(args, "nmax", None),
-            qmax=getattr(args, "qmax", None),
-        )
-        return _HANDLERS[args.subcommand](cfg, args)
+        if getattr(args, "kind", None) is not None:
+            args.kind = parse_kind(args.kind)
+        if getattr(args, "point", None) is not None:
+            args.point = parse_point(args.point)
+        return _HANDLERS[args.subcommand](args)
     except (UnsupportedKind, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .qpoly import qp_geometric_rows
+
 
 def eq1_degeneracy(m: int) -> int:
     """Number of (n, k) pairs of nonnegative integers with 2n + k = m, which
@@ -106,24 +108,9 @@ class BiSeries:
         return self.coeffs[j][t]
 
 
-def _apply_geometric(table: list[list[int]], e: int, amax: int, qmax: int) -> None:
-    """Multiply the table in place by (1 - a q^e)^(-1). Row j reads the
-    already-updated row j-1, which telescopes the geometric sum."""
-    for j in range(1, amax + 1):
-        row, prev = table[j], table[j - 1]
-        for t in range(e, qmax + 1):
-            row[t] += prev[t - e]
-
-
 def _product_biseries(exponents: list[int], qmax: int) -> BiSeries:
-    amax = qmax
-    table = [[0] * (qmax + 1) for _ in range(amax + 1)]
-    table[0][0] = 1
-    for e in sorted(exponents):
-        if e > qmax:
-            continue
-        _apply_geometric(table, e, amax, qmax)
-    return BiSeries(amax, qmax, tuple(tuple(row) for row in table))
+    rows = qp_geometric_rows(exponents, qmax, qmax)
+    return BiSeries(qmax, qmax, tuple(tuple(row) for row in rows))
 
 
 def gpf_bose_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:

@@ -17,10 +17,11 @@ the exact integer coefficient list in q, truncated at a degree cap.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add_shifted, qp_normalize
+from .qpoly import QPoly, qp_add_shifted, qp_det, qp_geometric_rows, qp_normalize
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -78,29 +79,6 @@ def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     return total
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with partial pivoting."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return det
-
-
 def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
     """Schur function as the ratio of alternants.
 
@@ -114,9 +92,17 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
     if len(lam) > m:
         return Fraction(0)
     padded = tuple(lam) + (0,) * (m - len(lam))
-    num = _det([[x ** (padded[j] + m - 1 - j) for j in range(m)] for x in xs])
-    den = _det([[x ** (m - 1 - j) for j in range(m)] for x in xs])
-    return num / den
+    scale = prod(x.denominator for x in xs)
+
+    def alternant(exps: list[int]) -> Fraction:
+        # Row x = n/d times d^top has integer entries n^e d^(top-e), so the
+        # determinant runs on ints and the scale comes back out at the end.
+        top = max(exps, default=0)
+        det = qp_det([[[x.numerator ** e * x.denominator ** (top - e)] for e in exps] for x in xs])
+        return Fraction(det[0] if det else 0, scale ** top)
+
+    num = alternant([p + m - 1 - j for j, p in enumerate(padded)])
+    return num / alternant([m - 1 - j for j in range(m)])
 
 
 def kostka(shape: Partition, content: Partition) -> int:
@@ -180,20 +166,6 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return total
 
 
-def _hpoly_qpoly(n: int, exponents: Sequence[int], emax: int) -> QPoly:
-    """Single-row Schur (complete homogeneous) at x_i = q^(e_i), truncated.
-
-    Level recursion: adding a level with exponent e turns H_k into
-    H_k + q^e * H_(k-1) for k ascending.
-    """
-    table: list[list[int]] = [[0] * (emax + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for e in exponents:
-        for k in range(1, n + 1):
-            qp_add_shifted(table[k], table[k - 1], e, emax)
-    return qp_normalize(table[n])
-
-
 def _interlacings(lam: Partition):
     """All partitions mu with lam_(i+1) <= mu_i <= lam_i (a horizontal strip
     removed from lam)."""
@@ -233,7 +205,7 @@ def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:
     if not lam:
         return [1]
     if len(lam) == 1:
-        return _hpoly_qpoly(lam[0], exps, emax)
+        return qp_normalize(qp_geometric_rows(exps, lam[0], emax)[lam[0]])
 
     # One variable per level: s_lam(q^e1..q^ej) = sum over horizontal strips
     # lam/mu of q^(e_j * |strip|) * s_mu(q^e1..q^e(j-1)).

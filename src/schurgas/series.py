@@ -1,8 +1,9 @@
 """Truncated fugacity series and the grand canonical partition functions.
 
 A FugacitySeries stores exact rational coefficients c_0..c_nmax of a power
-series in the fugacity z. The grand series of a statistics comes in two
-independently computed flavours:
+series in the fugacity z; the arithmetic on them is the polynomial kernel in
+`qpoly`, with z as its variable. The grand series of a statistics comes in
+two independently computed flavours:
 
 * `gpf_definition` is the defining sum, coefficient N = z_canonical(kind, N).
   Works for every statistics.
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .canonical import z_canonical
+from .qpoly import QPoly, qp_det, qp_divexact, qp_mul, qp_mul_factor, qp_normalize
 from .schur import DistinctnessViolation, EvalPoint, Rational, as_point
 from .statistics import StatisticsKind, UnsupportedKind, kind_name
 
@@ -59,39 +61,28 @@ class FugacitySeries:
         return [frac_str(c) for c in self.coeffs]
 
 
+def _series(nmax: int, poly: QPoly) -> FugacitySeries:
+    """The series of a kernel polynomial: truncated, or padded with zeros."""
+    coeffs = tuple(poly[: nmax + 1])
+    return FugacitySeries(nmax, coeffs + (0,) * (nmax + 1 - len(coeffs)))
+
+
 def series_one(nmax: int) -> FugacitySeries:
-    return FugacitySeries(nmax, (Fraction(1),) + (Fraction(0),) * nmax)
+    return _series(nmax, [1])
 
 
 def series_mul(a: FugacitySeries, b: FugacitySeries) -> FugacitySeries:
     """Cauchy product truncated at the common nmax."""
     if a.nmax != b.nmax:
         raise TruncationMismatch(f"nmax {a.nmax} vs {b.nmax}")
-    n = a.nmax
-    coeffs = []
-    for k in range(n + 1):
-        coeffs.append(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)), Fraction(0)))
-    return FugacitySeries(n, tuple(coeffs))
+    return _series(a.nmax, qp_mul(a.coeffs, b.coeffs, a.nmax))
 
 
 def expand_factor(a_exp: int, coef: Rational, power: int, nmax: int) -> FugacitySeries:
     """Truncated expansion of (1 - coef*z^a_exp)^(-1) for power = -1, or the
     binomial (1 + coef*z^a_exp) for power = +1."""
-    if a_exp < 1:
-        raise ValueError("a_exp must be positive")
-    coef = Fraction(coef)
-    coeffs = [Fraction(0)] * (nmax + 1)
-    if power == -1:
-        acc = Fraction(1)
-        for k in range(0, nmax + 1, a_exp):
-            coeffs[k] = acc
-            acc *= coef
-    elif power == 1:
-        coeffs[0] = Fraction(1)
-        if a_exp <= nmax:
-            coeffs[a_exp] = coef
-    else:
-        raise ValueError("power must be +1 or -1")
+    coeffs = [1] + [0] * nmax
+    qp_mul_factor(coeffs, Fraction(coef), a_exp, power)
     return FugacitySeries(nmax, tuple(coeffs))
 
 
@@ -131,91 +122,22 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
         factors += [(2, xi * xj, -1) for k, xi in enumerate(xs) for xj in xs[k + 1 :]]
     else:
         raise UnsupportedKind(f"no closed product form for {kind_name(kind)}")
-    series = series_one(nmax)
+    coeffs = [1] + [0] * nmax
     for a_exp, coef, power in factors:
-        if a_exp > nmax:
-            continue
-        series = series_mul(series, expand_factor(a_exp, coef, power, nmax))
-    return series
+        qp_mul_factor(coeffs, coef, a_exp, power)
+    return FugacitySeries(nmax, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
-# Parafermi determinant ratio: polynomials in z with exact coefficients.
-
-ZPoly = list[Fraction]
+# Parafermi determinant ratio: Bareiss determinants of z-polynomials.
 
 
-def _zp_trim(p: ZPoly) -> ZPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _zp_trim(out)
-
-
-def _zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _zp_trim(out)
-
-
-def _zp_divexact(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Exact polynomial quotient; Bareiss guarantees divisibility."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b) - 1] / lead
-        quot[k] = c
-        if c:
-            for i, cb in enumerate(b):
-                rem[k + i] -= c * cb
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division in elimination")
-    return _zp_trim(quot)
-
-
-def _zp_det_bareiss(matrix: list[list[ZPoly]]) -> ZPoly:
-    """Fraction-free (Bareiss) determinant of a matrix of z-polynomials."""
-    n = len(matrix)
-    m = [[list(e) for e in row] for row in matrix]
-    sign = 1
-    prev: ZPoly = [Fraction(1)]
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _zp_sub(_zp_mul(m[k][k], m[i][j]), _zp_mul(m[i][k], m[k][j]))
-                m[i][j] = _zp_divexact(num, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else det
-
-
-def _monomial_diff(x: Fraction, hi: int, lo: int) -> ZPoly:
+def _monomial_diff(x: Fraction, hi: int, lo: int) -> QPoly:
     """x^hi z^hi - x^lo z^lo as a z-polynomial (hi > lo >= 1)."""
     poly = [Fraction(0)] * (hi + 1)
     poly[hi] = x ** hi
     poly[lo] -= x ** lo
-    return _zp_trim(poly)
+    return qp_normalize(poly)
 
 
 def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacitySeries:
@@ -224,9 +146,9 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     X_j^(2M+1-i) - X_j^i, expanded as a truncated series in z.
 
     The point must have pairwise-distinct coordinates; a coincidence raises
-    DistinctnessViolation. If after cancelling the shared power of z the
-    denominator still starts with a zero coefficient (a degenerate point that
-    slipped through, e.g. a zero coordinate), DivisionInconsistency is raised.
+    DistinctnessViolation. If the denominator determinant vanishes
+    identically (a degenerate point that slipped through, e.g. a zero
+    coordinate), DivisionInconsistency is raised.
     """
     if p < 1:
         raise ValueError("order p must be positive")
@@ -234,30 +156,17 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     m = len(xs)
     if len(set(xs)) != m:
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
-    num = _zp_det_bareiss(
+    num = qp_det(
         [[_monomial_diff(xs[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
-    den = _zp_det_bareiss(
+    den = qp_det(
         [[_monomial_diff(xs[j], 2 * m + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
     if not den:
         raise DivisionInconsistency("denominator determinant is identically zero")
-    common = min(
-        next(i for i, c in enumerate(den) if c),
-        next((i for i, c in enumerate(num) if c), len(den)),
-    )
-    num = num[common:]
-    den = den[common:]
-    if not den or den[0] == 0:
-        raise DivisionInconsistency("denominator has no constant term after cancellation")
-    coeffs = []
-    for n in range(nmax + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
-        for k in range(n):
-            dk = den[n - k] if n - k < len(den) else Fraction(0)
-            acc -= coeffs[k] * dk
-        coeffs.append(acc / den[0])
-    return FugacitySeries(nmax, tuple(coeffs))
+    # The ratio is the finite sum of z^|lam| s_lam over the admitted shapes,
+    # a polynomial in z, so the division is exact.
+    return _series(nmax, qp_divexact(num, den))
 
 
 # ---------------------------------------------------------------------------

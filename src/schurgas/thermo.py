@@ -46,8 +46,10 @@ class ThermoParams:
     nmax: int
 
     def __post_init__(self):
-        if not self.beta_hw > 0:
-            raise ValueError("beta_hw must be positive")
+        if not (self.beta_hw > 0 and math.isfinite(self.beta_hw)):
+            raise ValueError("beta_hw must be positive and finite")
+        if not math.isfinite(self.mu_over_hw):
+            raise ValueError("mu_over_hw must be finite")
         if self.nmax < 1:
             raise ValueError("nmax must be at least 1")
 
@@ -122,8 +124,8 @@ def solve_mu(
     hunt, else BracketFailure. Points where the truncation check fails are
     treated as lying above the target, so the search backs away from them;
     if the target itself sits beyond the feasible region, TruncationTail."""
-    if not target_mean_n > 0:
-        raise ValueError("target mean particle number must be positive")
+    if not (target_mean_n > 0 and math.isfinite(target_mean_n)):
+        raise ValueError("target mean particle number must be positive and finite")
     tol = MU_REL_TOL * max(1.0, target_mean_n)
     WALL, OVER = "wall", "overflow"
 
@@ -196,12 +198,16 @@ def solve_mu(
     raise BracketFailure(f"bisection stalled between {lo} and {hi}")
 
 
-def sweep_csv(kind: StatisticsKind, spec: SpectrumSpec, runs: Iterable[ThermoParams]) -> str:
-    """One evaluate per row; columns fixed for downstream tooling."""
+def thermo_csv(rows: Iterable[tuple[ThermoParams, ThermoResult]]) -> str:
+    """CSV of evaluated points; columns fixed for downstream tooling."""
     lines = ["beta_hw,mu_over_hw,meanN,meanE_over_hw,logZ"]
-    for params in runs:
-        r = evaluate(kind, spec, params)
+    for params, r in rows:
         lines.append(
             f"{params.beta_hw!r},{params.mu_over_hw!r},{r.mean_n!r},{r.mean_e_over_hw!r},{r.logZ!r}"
         )
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(kind: StatisticsKind, spec: SpectrumSpec, runs: Iterable[ThermoParams]) -> str:
+    """One evaluate per row, as thermo_csv."""
+    return thermo_csv((params, evaluate(kind, spec, params)) for params in runs)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from schurgas import cli, thermo
 from schurgas.cli import run
 
 
@@ -142,3 +145,46 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "0: 1/1\n1: 5/1\n2: 6/1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zn", "--kind=", "--point", "2", "--n", "1"],
+    ["gpf", "--kind=", "--point", "2", "--nmax", "2"],
+    ["thermo", "--kind=", "--spectrum", "eq2", "--beta", "1", "--mu", "-1"],
+    ["verify", "--kind=", "--nmax", "2"],
+    ["partitions", "3", "--kind="],
+    ["schur", "--shape", "2,1", "--point="],
+    ["verify", "--kind", "bose", "--point=", "--nmax", "2"],
+])
+def test_empty_kind_or_point_is_a_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--beta", "inf", "--mu", "-1"],
+    ["--beta", "1", "--mu", "nan"],
+    ["--beta", "1", "--target-n", "inf"],
+])
+def test_thermo_rejects_non_finite_inputs(capsys, extra):
+    code, _, err = invoke(capsys, ["thermo", "--kind", "bose", "--spectrum", "eq2"] + extra)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_thermo_csv_evaluates_once(capsys, monkeypatch):
+    calls = []
+    evaluate = thermo.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    monkeypatch.setattr(thermo, "evaluate", counting)
+    code, _, _ = invoke(capsys, ["thermo", "--kind", "fermi", "--spectrum", "eq2",
+                                 "--beta", "1.0", "--mu", "2.0", "--format", "csv"])
+    assert code == 0
+    assert len(calls) == 1

@@ -1,0 +1,191 @@
+import random
+from fractions import Fraction as F
+from itertools import combinations_with_replacement, permutations
+
+import pytest
+
+from schurgas.qpoly import (
+    qp_det,
+    qp_divexact,
+    qp_geometric_rows,
+    qp_mul,
+    qp_mul_factor,
+    qp_normalize,
+)
+
+
+def naive_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return qp_normalize(out)
+
+
+def leibniz(matrix):
+    """Permutation-sum determinant, independent of any elimination."""
+    n = len(matrix)
+    total = []
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = [-1 if inversions % 2 else 1]
+        for row, col in enumerate(perm):
+            term = naive_mul(term, matrix[row][col])
+        width = max(len(total), len(term))
+        total = qp_normalize(
+            (total[k] if k < len(total) else 0) + (term[k] if k < len(term) else 0)
+            for k in range(width)
+        )
+    return total
+
+
+def all_ints(poly):
+    return all(type(c) is int for c in poly)
+
+
+def random_poly(rng, degree, rational):
+    coeffs = [rng.randint(-4, 4) for _ in range(degree + 1)]
+    if rational:
+        coeffs = [F(c, rng.randint(1, 5)) for c in coeffs]
+    return qp_normalize(coeffs)
+
+
+FRACTION_ZERO_CORNER = [
+    [[F(0)], [F(1, 2)], [F(3)]],
+    [[F(2, 3)], [F(5)], [F(-1, 4)]],
+    [[F(7)], [F(1, 3)], [F(2)]],
+]
+POLY_ZERO_CORNER = [
+    [[], [1, 2], [0, 0, 3]],
+    [[F(1, 2), 1], [F(-1)], [2, 0, 1]],
+    [[3], [0, 1], [F(2, 3)]],
+]
+
+
+@pytest.mark.parametrize("matrix", [FRACTION_ZERO_CORNER, POLY_ZERO_CORNER])
+def test_det_with_zero_pivot_swaps_rows(matrix):
+    det = qp_det(matrix)
+    assert det == leibniz(matrix)
+    assert det
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_matches_leibniz_on_random_matrices(n, rational):
+    rng = random.Random(100 * n + rational)
+    for _ in range(5):
+        matrix = [[random_poly(rng, rng.randint(0, 2), rational) for _ in range(n)]
+                  for _ in range(n)]
+        assert qp_det(matrix) == leibniz(matrix)
+
+
+def test_det_of_singular_matrix_is_zero():
+    assert qp_det([[[1, 1], [2]], [[2, 2], [4]]]) == []
+    assert qp_det([[[F(1, 2)], [F(1)], [F(3)]],
+                   [[F(1)], [F(2)], [F(6)]],
+                   [[F(5)], [F(0)], [F(1)]]]) == []
+    assert qp_det([[[], [1]], [[], [2]]]) == []
+
+
+def test_det_of_empty_matrix_is_one():
+    assert qp_det([]) == [1]
+
+
+def test_det_normalizes_zero_entries():
+    # [0] and [Fraction(0)] are zeros with a trailing zero left in; they
+    # must not be taken as pivots
+    assert qp_det([[[0], [1]], [[1], [0]]]) == [-1]
+    assert qp_det([[[F(0)], [F(2)], [0, 0]],
+                   [[F(3)], [F(0)], [F(1)]],
+                   [[1], [F(1)], [F(0)]]]) == [F(2)]
+
+
+def test_int_inputs_never_produce_floats():
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        matrix = [[random_poly(rng, rng.randint(0, 2), False) for _ in range(n)]
+                  for _ in range(n)]
+        det = qp_det(matrix)
+        assert all_ints(det)
+        assert det == leibniz(matrix)
+    # the minor 1 + z^2 has an inner zero that is divided by the int 1 of
+    # the first Bareiss step
+    det = qp_det([[[1], [1]], [[0, 0, 1], [1, 0, 2]]])
+    assert det == [1, 0, 1] and all_ints(det)
+    quot = qp_divexact([0, 2, 4, 2], [0, 1, 1])
+    assert quot == [2, 2] and all_ints(quot)
+    assert all_ints(qp_mul([1, -2, 3], [4, 5], 2))
+
+
+def test_divexact_round_trips():
+    rng = random.Random(3)
+    for rational in (False, True):
+        for _ in range(10):
+            a = random_poly(rng, 3, rational) or [1]
+            b = random_poly(rng, 2, rational) or [1]
+            assert qp_divexact(naive_mul(a, b), b) == a
+
+
+def test_divexact_raises_on_inexact_quotient():
+    with pytest.raises(ArithmeticError):
+        qp_divexact([1, 0, 1], [1, 1])  # remainder 2
+    with pytest.raises(ArithmeticError):
+        qp_divexact([1], [2])  # exact over Q, not over the ints
+    assert qp_divexact([F(1)], [2]) == [F(1, 2)]
+    with pytest.raises(ZeroDivisionError):
+        qp_divexact([1], [])
+
+
+def test_mul_truncates_at_emax():
+    a, b = [1, 2, 3], [F(1, 2), 0, 5]
+    full = naive_mul(a, b)
+    assert qp_mul(a, b) == full
+    for emax in range(6):
+        assert qp_mul(a, b, emax) == qp_normalize(full[: emax + 1])
+    assert qp_mul(a, b, 10) == full
+    assert qp_mul([], b, 3) == [] and qp_mul(a, [0, 0], 3) == []
+    assert qp_mul([0, 1], [0, 1], 1) == []
+
+
+def test_mul_factor_geometric_and_binomial():
+    # (1 - c z^2)^(-1) from 1: c^k at z^(2k)
+    dst = [1] + [0] * 6
+    qp_mul_factor(dst, F(1, 3), 2, -1)
+    assert dst == [1, 0, F(1, 3), 0, F(1, 9), 0, F(1, 27)]
+    # (1 + c z^3) from 1 + z: the binomial reads untouched entries
+    dst = [1, 1, 0, 0, 0]
+    qp_mul_factor(dst, 2, 3, 1)
+    assert dst == [1, 1, 0, 2, 2]
+    # the two powers are inverse to each other with coef and -coef
+    rng = random.Random(11)
+    base = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)]
+    dst = list(base)
+    qp_mul_factor(dst, F(2, 5), 3, -1)
+    assert dst != base
+    qp_mul_factor(dst, F(-2, 5), 3, 1)
+    assert dst == base
+    # both agree with the kernel product by the explicit factor
+    dst = list(base)
+    qp_mul_factor(dst, F(-3), 2, 1)
+    assert qp_normalize(dst) == qp_mul(base, [1, 0, F(-3)], len(base) - 1)
+
+
+def test_mul_factor_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        qp_mul_factor([1, 0], 1, 0, -1)
+    with pytest.raises(ValueError):
+        qp_mul_factor([1, 0], 1, 1, 2)
+
+
+@pytest.mark.parametrize("exponents", [(1, 2, 3), (2, 2, 5, 1), (3, 0, 4)])
+def test_geometric_rows_count_multisets(exponents):
+    amax, emax = 4, 9
+    rows = qp_geometric_rows(exponents, amax, emax)
+    assert len(rows) == amax + 1 and all(len(row) == emax + 1 for row in rows)
+    for n in range(amax + 1):
+        brute = [0] * (emax + 1)
+        for pick in combinations_with_replacement(range(len(exponents)), n):
+            total = sum(exponents[i] for i in pick)
+            if total <= emax:
+                brute[total] += 1
+        assert rows[n] == brute

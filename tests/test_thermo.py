@@ -21,6 +21,9 @@ def test_params_validation():
         ThermoParams(0.0, 0.0, 8)
     with pytest.raises(ValueError):
         ThermoParams(1.0, 0.0, 0)
+    for beta, mu in ((math.inf, -1.0), (math.nan, -1.0), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(ValueError):
+            ThermoParams(beta, mu, 8)
 
 
 def test_single_level_bose_matches_geometric_occupancy():
@@ -87,6 +90,12 @@ def test_unreachable_bose_target_is_a_truncation_failure():
 def test_solve_mu_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         solve_mu(BOSE, SINGLE, 1.0, 0.0, 8)
+
+
+def test_solve_mu_rejects_non_finite_target():
+    for target in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_mu(BOSE, SINGLE, 1.0, target, 8)
 
 
 def test_solve_mu_tiny_target_uses_downward_hunt():
