@@ -97,8 +97,9 @@ def qp_geometric_rows(exponents: Sequence[int], amax: int, emax: int) -> list[li
     rows = [[0] * (emax + 1) for _ in range(amax + 1)]
     rows[0][0] = 1
     for e in exponents:
-        for j in range(1, amax + 1):
-            qp_add_shifted(rows[j], rows[j - 1], e, emax)
+        for row, prev in zip(rows[1:], rows):
+            for t in range(e, emax + 1):
+                row[t] += prev[t - e]
     return rows
 
 
