@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .qpoly import QPoly, qp_add
-from .schur import Rational, as_point, schur_qpoly, schur_tableau
+from .qpoly import QPoly
+from .schur import Rational, as_point, schur_qpoly_sums, schur_tableau
 from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions
 
 
@@ -58,7 +58,4 @@ def z_canonical_qpoly(
     Coefficients count the n-particle states of each total energy, so they
     are nonnegative.
     """
-    total: QPoly = []
-    for lam in admitted_partitions(kind, n, len(exponents)):
-        total = qp_add(total, schur_qpoly(lam, exponents, emax))
-    return total
+    return schur_qpoly_sums(exponents, emax, [admitted_partitions(kind, n, len(exponents))])[0]

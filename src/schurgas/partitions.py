@@ -32,9 +32,10 @@ def weight(lam: Partition) -> int:
     return sum(lam)
 
 
-def iter_partitions(n: int, max_parts: int) -> Iterator[Partition]:
-    """Yield the partitions of n with at most max_parts parts, in
-    reverse-lexicographic order (largest first part first)."""
+def iter_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
+    """Yield the partitions of n with at most max_parts parts, each part at
+    most max_part (unbounded when None), in reverse-lexicographic order
+    (largest first part first)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if max_parts < 1:
@@ -52,7 +53,7 @@ def iter_partitions(n: int, max_parts: int) -> Iterator[Partition]:
                 break
             yield from rec(remaining - k, k, slots - 1, prefix + (k,))
 
-    yield from rec(n, n, max_parts, ())
+    yield from rec(n, n if max_part is None else max_part, max_parts, ())
 
 
 def gen_partitions(n: int, max_parts: int) -> list[Partition]:

@@ -10,18 +10,22 @@ Two independent backends evaluate s_lam at a point of rationals:
   det(x_i^(M - j)). It needs pairwise-distinct coordinates (the denominator
   is the Vandermonde determinant) and exists as a cross-check.
 
-`schur_qpoly` evaluates s_lam at monomial points x_i = q^(e_i) and returns
-the exact integer coefficient list in q, truncated at a degree cap.
+`schur_qpoly_sums` evaluates sums of s_lam at monomial points x_i = q^(e_i)
+as exact integer coefficient lists in q, truncated at a degree cap, by one
+branching-rule recursion shared across all the shapes it is given;
+`schur_qpoly` is its one-shape case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import prod
-from typing import Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add_shifted, qp_det, qp_geometric_rows, qp_normalize
+from .qpoly import QPoly, qp_add, qp_det, qp_normalize
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -166,25 +170,82 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return total
 
 
-def _interlacings(lam: Partition):
-    """All partitions mu with lam_(i+1) <= mu_i <= lam_i (a horizontal strip
-    removed from lam)."""
-    bounds = [(lam[i + 1] if i + 1 < len(lam) else 0, lam[i]) for i in range(len(lam))]
+def schur_qpoly_sums(
+    exponents: Sequence[int], emax: int, groups: Iterable[Iterable[Partition]]
+) -> list[QPoly]:
+    """For each group of shapes, the sum of s_lam at x_i = q^(e_i) over the
+    group, as an integer coefficient list truncated at degree emax.
 
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(bounds):
-            yield tuple(p for p in prefix if p)
-            return
-        lo, hi = bounds[i]
-        for v in range(hi, lo - 1, -1):
-            yield from rec(i + 1, prefix + (v,))
+    One branching-rule recursion serves every shape of every group:
+    s_lam(q^e1..q^ej) is the sum, over the mu with lam_(i+1) <= mu_i <= lam_i
+    (lam/mu a horizontal strip), of q^(e_j |lam/mu|) s_mu(q^e1..q^e(j-1))
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11). The memo,
+    keyed by (levels used, shape), lives for this call only, and each entry
+    is as long as its polynomial's degree.
 
-    yield from rec(0, ())
+    Args:
+        exponents: nonnegative integers e_i, one per variable.
+        emax: highest power of q to keep (>= 0).
+        groups: iterables of shapes; a shape with more parts than there are
+            exponents contributes zero.
+
+    Returns:
+        One normalized coefficient list per group; the zero polynomial is [].
+        All coefficients are nonnegative (they count tableaux by content
+        energy).
+    """
+    if emax < 0:
+        raise ValueError("emax must be nonnegative")
+    exps = tuple(exponents)
+    m = len(exps)
+    # s_lam on the first j variables has degree sum_i lam_i * desc[j][i], the
+    # exponents taken largest first: its leading monomial, and no coefficient
+    # is negative to cancel it.
+    desc = [sorted(exps[:j], reverse=True) for j in range(m + 1)]
+    memo: dict[tuple[int, Partition], QPoly] = {}
+
+    def level(j: int, shape: Partition) -> QPoly:
+        if not shape:
+            return [1]
+        key = (j, shape)
+        poly = memo.get(key)
+        if poly is not None:
+            return poly
+        full = sum(p * e for p, e in zip(shape, desc[j]))
+        top = min(full, emax)
+        acc = [0] * (top + 1)
+        e = exps[j - 1]
+        w = sum(shape)
+        # mu_i ranges over [lam_(i+1), lam_i]; mu may keep at most j - 1 parts,
+        # so its last slot exists only when lam has fewer than j parts.
+        slots = [range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)]
+        if len(shape) < j:
+            slots.append(range(shape[-1] + 1))
+        for mu in product(*slots):
+            shift = e * (w - sum(mu))
+            if shift > top:
+                continue
+            src = level(j - 1, mu[:-1] if mu and not mu[-1] else mu)
+            end = min(top + 1, shift + len(src))
+            acc[shift:end] = map(add, acc[shift:end], src)
+        poly = acc if top == full else qp_normalize(acc)
+        memo[key] = poly
+        return poly
+
+    sums = []
+    for group in groups:
+        total: QPoly = []
+        for lam in group:
+            if len(lam) <= m:
+                total = qp_add(total, level(m, tuple(lam)))
+        sums.append(total)
+    return sums
 
 
 def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:
     """s_lam at the monomial point x_i = q^(e_i), as an integer coefficient
-    list in q truncated at degree emax.
+    list in q truncated at degree emax: schur_qpoly_sums with one group
+    holding one shape.
 
     Args:
         lam: shape to evaluate.
@@ -193,43 +254,5 @@ def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:
 
     Returns:
         Coefficients [c_0, ..., c_d], d <= emax; the zero polynomial is [].
-        All coefficients are nonnegative (they count tableaux by content
-        energy).
     """
-    if emax < 0:
-        raise ValueError("emax must be nonnegative")
-    exps = tuple(exponents)
-    m = len(exps)
-    if len(lam) > m:
-        return []
-    if not lam:
-        return [1]
-    if len(lam) == 1:
-        return qp_normalize(qp_geometric_rows(exps, lam[0], emax)[lam[0]])
-
-    # One variable per level: s_lam(q^e1..q^ej) = sum over horizontal strips
-    # lam/mu of q^(e_j * |strip|) * s_mu(q^e1..q^e(j-1)).
-    memo: dict[tuple[int, Partition], QPoly] = {}
-
-    def level(j: int, shape: Partition) -> QPoly:
-        if not shape:
-            return [1]
-        if len(shape) > j:
-            return []
-        key = (j, shape)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        w = sum(shape)
-        e = exps[j - 1]
-        acc = [0] * (emax + 1)
-        for mu in _interlacings(shape):
-            shift = e * (w - sum(mu))
-            if shift > emax:
-                continue
-            qp_add_shifted(acc, level(j - 1, mu), shift, emax)
-        result = qp_normalize(acc)
-        memo[key] = result
-        return result
-
-    return level(m, tuple(lam))
+    return schur_qpoly_sums(exponents, emax, [[lam]])[0]

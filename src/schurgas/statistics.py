@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .partitions import Partition, conjugate, gen_partitions
+from .partitions import Partition, conjugate, iter_partitions
 
 _FAMILIES = (
     "bose",
@@ -142,8 +142,33 @@ def admits(kind: StatisticsKind, lam: Partition) -> bool:
 
 
 def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Partition]:
-    """gen_partitions(n, max_parts) filtered by admits, order preserved."""
-    return [lam for lam in gen_partitions(n, max_parts) if admits(kind, lam)]
+    """gen_partitions(n, max_parts) filtered by admits, order preserved.
+
+    The admitted shapes are generated directly rather than filtered: the
+    row and column bounds go to iter_partitions, an even-rows shape is a
+    partition of n/2 with every part doubled, and an even-cols shape one of
+    n/2 (at most max_parts // 2 parts) with every part repeated twice. Both
+    maps keep reverse-lexicographic order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_parts < 1:
+        raise ValueError("max_parts must be positive")
+    fam = kind.family
+    if fam in ("hst", "bose", "fermi", "parafermi", "parabose", "pq"):
+        rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(fam, max_parts)
+        cols = {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(fam)
+        return list(iter_partitions(n, min(rows, max_parts), cols))
+    if n % 2:
+        return []
+    if fam == "even-rows":
+        return [tuple(2 * p for p in mu) for mu in iter_partitions(n // 2, max_parts)]
+    if fam == "even-cols":
+        if max_parts < 2:
+            return [()] if n == 0 else []
+        halves = iter_partitions(n // 2, max_parts // 2)
+        return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
+    raise UnsupportedKind(kind_name(kind))
 
 
 def even_cols_by_conjugate(lam: Partition) -> bool:

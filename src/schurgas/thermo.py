@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .canonical import z_canonical_qpoly
 from .equivalence import SpectrumSpec
 from .qpoly import qp_eval_float, qp_weighted_eval_float
-from .statistics import StatisticsKind
+from .schur import schur_qpoly_sums
+from .statistics import StatisticsKind, admitted_partitions
 
 TAIL_BOUND = 1e-9
 MU_REL_TOL = 1e-8
@@ -64,11 +64,10 @@ class ThermoResult(NamedTuple):
 def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     """Exact integer polynomials in qh for N = 0..nmax, full degree kept so
     no truncation error enters before the float substitution."""
-    top = max(exponents)
-    return tuple(
-        tuple(z_canonical_qpoly(kind, exponents, n, n * top if n else 0))
-        for n in range(nmax + 1)
-    )
+    # No shape of weight n has degree above n * max(exponents), so one cap
+    # at nmax keeps every N whole and lets all N share one memo.
+    groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
+    return tuple(tuple(p) for p in schur_qpoly_sums(exponents, nmax * max(exponents), groups))
 
 
 def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
