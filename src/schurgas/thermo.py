@@ -60,7 +60,9 @@ class ThermoResult(NamedTuple):
     mean_e_over_hw: float
 
 
-@lru_cache(maxsize=None)
+# Bounded: a solve or a sweep reuses one key many times, so a few working
+# sets of keys suffice, and an unbounded cache grows for the process's life.
+@lru_cache(maxsize=16)
 def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     """Exact integer polynomials in qh for N = 0..nmax, full degree kept so
     no truncation error enters before the float substitution."""

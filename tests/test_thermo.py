@@ -8,6 +8,7 @@ from schurgas.thermo import (
     BracketFailure,
     ThermoParams,
     TruncationTail,
+    _weight_polys,
     evaluate,
     solve_mu,
     sweep_csv,
@@ -128,3 +129,15 @@ def test_sweep_csv_layout():
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
     assert float(first[2]) > 0
+
+
+def test_weight_cache_is_bounded_and_keeps_a_working_set():
+    assert _weight_polys.cache_info().maxsize is not None
+    _weight_polys.cache_clear()
+    keys = [(BOSE, (1,) * m, 4) for m in range(1, 8)]
+    for key in keys:
+        _weight_polys(*key)
+    for key in keys:
+        _weight_polys(*key)
+    info = _weight_polys.cache_info()
+    assert info.currsize == 7 and info.hits == 7 and info.misses == 7
