@@ -65,11 +65,20 @@ class ThermoResult(NamedTuple):
 @lru_cache(maxsize=16)
 def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     """Exact integer polynomials in qh for N = 0..nmax, full degree kept so
-    no truncation error enters before the float substitution."""
+    no truncation error enters before the float substitution.
+
+    Each is stored as (d_N, (c_d, c_(d+1), ...)): its lowest degree and its
+    coefficients from there up, so Z_N = qh^(d_N) r_N(qh) with r_N(0) >= 1.
+    The zero polynomial is (0, ()).
+    """
     # No shape of weight n has degree above n * max(exponents), so one cap
     # at nmax keeps every N whole and lets all N share one memo.
     groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
-    return tuple(tuple(p) for p in schur_qpoly_sums(exponents, nmax * max(exponents), groups))
+    out = []
+    for poly in schur_qpoly_sums(exponents, nmax * max(exponents), groups):
+        low = next((t for t, c in enumerate(poly) if c), 0)
+        out.append((low, tuple(poly[low:])))
+    return tuple(out)
 
 
 def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
@@ -81,17 +90,27 @@ def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> 
     polys = _weight_polys(kind, exponents, params.nmax)
     qh = math.exp(-params.beta_hw / 2)
     logz = params.beta_hw * params.mu_over_hw
-    # Work with log weights so no fugacity, however extreme, overflows
-    # before the tail check can classify the point.
+    # Work with log weights, log z^N qh^(d_N) r_N(qh), so that neither an
+    # extreme fugacity nor a ground energy far above 1/beta (qh^(d_N) would
+    # underflow) leaves float range before the tail check can classify the
+    # point. r_N(qh) >= 1 for every N with states.
     try:
-        values = [qp_eval_float(polys[n], qh) for n in range(params.nmax + 1)]
+        values = [qp_eval_float(r, qh) for _, r in polys]
     except OverflowError:
         raise TruncationTail(
             "canonical weight exceeded float range; reduce nmax or beta",
             overflow=True,
         ) from None
-    logw = [n * logz + math.log(v) if v > 0.0 else None for n, v in enumerate(values)]
+    logw = [
+        n * logz - low * params.beta_hw / 2 + math.log(v) if v > 0.0 else None
+        for n, ((low, _), v) in enumerate(zip(polys, values))
+    ]
     top = max(lw for lw in logw if lw is not None)
+    if not math.isfinite(top):
+        raise TruncationTail(
+            "grand canonical weight exceeded float range; reduce nmax or mu",
+            overflow=True,
+        )
     scaled = [math.exp(lw - top) if lw is not None else 0.0 for lw in logw]
     total = math.fsum(scaled)
     if not scaled[params.nmax] < TAIL_BOUND * total:
@@ -100,12 +119,12 @@ def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> 
             f"mu/hw = {params.mu_over_hw}; increase nmax or lower mu"
         )
     mean_n = math.fsum(n * w for n, w in enumerate(scaled)) / total
-    # half-quantum grid: energy in hw units is t/2 for the q^t coefficient;
-    # per-N mean energy is a ratio of same-scale sums, so no overflow either
+    # half-quantum grid: energy in hw units is t/2 for the q^t coefficient,
+    # so the per-N mean energy is d_N/2 plus a ratio of same-scale sums
     mean_e = (
         math.fsum(
-            w * (qp_weighted_eval_float(polys[n], qh, 0.5) / values[n]) if w else 0.0
-            for n, w in enumerate(scaled)
+            w * (low / 2 + qp_weighted_eval_float(r, qh, 0.5) / v) if w else 0.0
+            for (low, r), v, w in zip(polys, values, scaled)
         )
         / total
     )

@@ -141,3 +141,17 @@ def test_weight_cache_is_bounded_and_keeps_a_working_set():
         _weight_polys(*key)
     info = _weight_polys.cache_info()
     assert info.currsize == 7 and info.hits == 7 and info.misses == 7
+
+
+def test_large_beta_keeps_the_dominant_sectors():
+    # mu between the 5th and 6th levels: the five lowest fill, the rest stay
+    # empty; the ground-state weights qh^(d_N) underflow as floats here
+    res = evaluate(FERMI, build_spectrum("eq2", 8), ThermoParams(100.0, 4.9, 24))
+    assert res.mean_n == pytest.approx(5.0, abs=1e-12)
+    assert res.mean_e_over_hw == pytest.approx(0.5 + 1.5 + 2.5 + 3.5 + 4.5, abs=1e-12)
+    assert res.logZ == pytest.approx(100.0 * (5 * 4.9 - 12.5), rel=1e-12)
+
+
+def test_weight_polys_store_lowest_degree_and_trimmed_coefficients():
+    polys = _weight_polys(FERMI, (1, 3, 5), 4)
+    assert polys == ((0, (1,)), (1, (1, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 1)), (9, (1,)), (0, ()))
