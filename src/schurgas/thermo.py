@@ -50,6 +50,8 @@ class ThermoParams:
             raise ValueError("beta_hw must be positive and finite")
         if not math.isfinite(self.mu_over_hw):
             raise ValueError("mu_over_hw must be finite")
+        if not math.isfinite(self.beta_hw * self.mu_over_hw):
+            raise ValueError("beta_hw * mu_over_hw (log fugacity) must be finite")
         if self.nmax < 1:
             raise ValueError("nmax must be at least 1")
 

@@ -167,6 +167,7 @@ def test_empty_kind_or_point_is_a_usage_error(capsys, argv):
     ["--beta", "inf", "--mu", "-1"],
     ["--beta", "1", "--mu", "nan"],
     ["--beta", "1", "--target-n", "inf"],
+    ["--beta", "2", "--mu", "1e308"],
 ])
 def test_thermo_rejects_non_finite_inputs(capsys, extra):
     code, _, err = invoke(capsys, ["thermo", "--kind", "bose", "--spectrum", "eq2"] + extra)
@@ -188,3 +189,12 @@ def test_thermo_csv_evaluates_once(capsys, monkeypatch):
                                  "--beta", "1.0", "--mu", "2.0", "--format", "csv"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_thermo_large_beta_fills_the_lowest_levels(capsys):
+    code, out, _ = invoke(capsys, ["thermo", "--kind", "fermi", "--spectrum", "eq2",
+                                   "--beta", "100", "--mu", "4.9", "--format", "json"])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["mean_n"] == pytest.approx(5.0, abs=1e-12)
+    assert blob["mean_e_over_hw"] == pytest.approx(12.5, abs=1e-12)

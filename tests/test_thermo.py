@@ -22,7 +22,8 @@ def test_params_validation():
         ThermoParams(0.0, 0.0, 8)
     with pytest.raises(ValueError):
         ThermoParams(1.0, 0.0, 0)
-    for beta, mu in ((math.inf, -1.0), (math.nan, -1.0), (1.0, math.nan), (1.0, -math.inf)):
+    for beta, mu in ((math.inf, -1.0), (math.nan, -1.0), (1.0, math.nan), (1.0, -math.inf),
+                     (2.0, 1e308), (2.0, -1e308)):
         with pytest.raises(ValueError):
             ThermoParams(beta, mu, 8)
 
@@ -155,3 +156,10 @@ def test_large_beta_keeps_the_dominant_sectors():
 def test_weight_polys_store_lowest_degree_and_trimmed_coefficients():
     polys = _weight_polys(FERMI, (1, 3, 5), 4)
     assert polys == ((0, (1,)), (1, (1, 0, 1, 0, 1)), (4, (1, 0, 1, 0, 1)), (9, (1,)), (0, ()))
+
+
+def test_log_weight_overflow_is_a_truncation_failure():
+    # beta * mu is finite, N * beta * mu is not
+    with pytest.raises(TruncationTail) as info:
+        evaluate(BOSE, build_spectrum("eq2", 4), ThermoParams(1.0, 1e307, 24))
+    assert info.value.overflow
