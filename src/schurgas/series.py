@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .canonical import z_canonical
@@ -132,11 +133,11 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
 # Parafermi determinant ratio: Bareiss determinants of z-polynomials.
 
 
-def _monomial_diff(x: Fraction, hi: int, lo: int) -> QPoly:
-    """x^hi z^hi - x^lo z^lo as a z-polynomial (hi > lo >= 1)."""
-    poly = [Fraction(0)] * (hi + 1)
-    poly[hi] = x ** hi
-    poly[lo] -= x ** lo
+def _monomial_diff(y: int, hi: int, lo: int) -> QPoly:
+    """y^hi w^hi - y^lo w^lo as a w-polynomial (hi > lo >= 1)."""
+    poly = [0] * (hi + 1)
+    poly[hi] = y ** hi
+    poly[lo] -= y ** lo
     return qp_normalize(poly)
 
 
@@ -156,17 +157,22 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     m = len(xs)
     if len(set(xs)) != m:
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
+    # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so both
+    # determinants are integer polynomials in w.
+    scale = lcm(*(x.denominator for x in xs))
+    ys = [int(x * scale) for x in xs]
     num = qp_det(
-        [[_monomial_diff(xs[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
+        [[_monomial_diff(ys[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
     den = qp_det(
-        [[_monomial_diff(xs[j], 2 * m + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
+        [[_monomial_diff(ys[j], 2 * m + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
     if not den:
         raise DivisionInconsistency("denominator determinant is identically zero")
-    # The ratio is the finite sum of z^|lam| s_lam over the admitted shapes,
-    # a polynomial in z, so the division is exact.
-    return _series(nmax, qp_divexact(num, den))
+    # The ratio is the finite sum of w^|lam| s_lam(y) over the admitted
+    # shapes, an integer polynomial, so the division is exact on ints.
+    ratio = qp_divexact(num, den)[: nmax + 1]
+    return _series(nmax, [Fraction(c, scale ** k) for k, c in enumerate(ratio)])
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def test_parafermi_det_large_order_matches_hst():
         assert gpf_parafermi_det(p, pt, 6).coeffs == hst.coeffs
 
 
+def test_parafermi_det_clears_mixed_denominators():
+    # the determinants run on D x with D = lcm(4, 3, 5); coefficient k
+    # comes back divided by D^k
+    pt = (F(-1, 4), F(2, 3), F(7, 5))
+    for p in (1, 2, 3):
+        assert gpf_parafermi_det(p, pt, 6) == gpf_definition(parafermi(p), pt, 6)
+
+
 def test_parafermi_det_rejects_repeated_coordinates():
     with pytest.raises(DistinctnessViolation):
         gpf_parafermi_det(2, (F(2), F(2)), 3)
