@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -154,20 +154,32 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     """Monomial symmetric function m_mu: the sum over all distinct
     rearrangements of the exponent vector mu (zero-padded to the point's
     length) of the corresponding monomial."""
-    from itertools import permutations
-
     xs = as_point(point)
     m = len(xs)
     if len(mu) > m:
         return Fraction(0)
-    padded = tuple(mu) + (0,) * (m - len(mu))
-    total = Fraction(0)
-    for perm in set(permutations(padded)):
-        term = Fraction(1)
-        for x, e in zip(xs, perm):
-            term *= x ** e
-        total += term
-    return total
+    # m_mu is homogeneous of degree |mu|: evaluate at D x, with D the lcm of
+    # the denominators, on ints and divide D^|mu| back out.
+    scale = lcm(*(x.denominator for x in xs))
+    ys = [int(x * scale) for x in xs]
+    memo: dict[tuple[int, ...], int] = {}
+
+    def rest(exps: tuple[int, ...]) -> int:
+        # the exponents still to place, largest first, on the last len(exps)
+        # variables: each distinct value may go on the first of them
+        if not exps:
+            return 1
+        total = memo.get(exps)
+        if total is None:
+            y = ys[m - len(exps)]
+            total = 0
+            for e in dict.fromkeys(exps):
+                k = exps.index(e)
+                total += y ** e * rest(exps[:k] + exps[k + 1 :])
+            memo[exps] = total
+        return total
+
+    return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
 def schur_qpoly_sums(

@@ -145,6 +145,29 @@ def test_monomial_sym_known_values():
     assert monomial_sym((1, 1, 1), (Fraction(2), Fraction(3))) == 0
 
 
+def brute_monomial(mu, point):
+    # sum over the distinct rearrangements of the padded exponent vector
+    m = len(point)
+    if len(mu) > m:
+        return Fraction(0)
+    padded = tuple(mu) + (0,) * (m - len(mu))
+    total = Fraction(0)
+    for perm in set(permutations(padded)):
+        term = Fraction(1)
+        for x, e in zip(point, perm):
+            term *= x**e
+        total += term
+    return total
+
+
+@settings(max_examples=60)
+@given(lam=small_partition(), point=distinct_point(max_size=5), zero=st.booleans())
+def test_monomial_sym_matches_rearrangement_sum(lam, point, zero):
+    # repeated and zero coordinates too: m_mu needs no distinctness
+    point = point + point[:1] + ((Fraction(0),) if zero else ())
+    assert monomial_sym(lam, point) == brute_monomial(lam, point)
+
+
 @settings(max_examples=40)
 @given(lam=small_partition(), point=distinct_point())
 def test_kostka_monomial_expansion(lam, point):
