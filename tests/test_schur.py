@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurgas.partitions import gen_partitions
-from schurgas.qpoly import qp_eval_fraction
+from schurgas.qpoly import qp_eval_fraction, qp_normalize
 from schurgas.schur import (
     DistinctnessViolation,
     kostka,
     monomial_sym,
     schur_bialternant,
     schur_qpoly,
+    schur_qpoly_sums,
     schur_tableau,
 )
 
@@ -161,7 +162,7 @@ def brute_monomial(mu, point):
 
 
 @settings(max_examples=60)
-@given(lam=small_partition(), point=distinct_point(max_size=5), zero=st.booleans())
+@given(lam=small_partition(), point=distinct_point(), zero=st.booleans())
 def test_monomial_sym_matches_rearrangement_sum(lam, point, zero):
     # repeated and zero coordinates too: m_mu needs no distinctness
     point = point + point[:1] + ((Fraction(0),) if zero else ())
@@ -184,6 +185,9 @@ def test_schur_qpoly_known_values():
     assert schur_qpoly((1, 1), (1, 2), 10) == [0, 0, 0, 1]
     assert schur_qpoly((2,), (1, 2), 3) == [0, 0, 1, 1]
     assert schur_qpoly((), (1, 2), 5) == [1]
+    # truncation inside a gap of the full polynomial q + q^3 normalizes
+    assert schur_qpoly((1,), (1, 3), 2) == [0, 1]
+    assert schur_qpoly((1, 1, 1), (1, 3), 9) == []
 
 
 @settings(max_examples=40)
@@ -202,3 +206,20 @@ def test_schur_qpoly_matches_tableau_substitution(lam, exps):
 def test_schur_qpoly_coefficients_nonnegative(lam, exps):
     for c in schur_qpoly(lam, tuple(exps), 12):
         assert c >= 0
+
+
+@settings(max_examples=30)
+@given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=4), emax=st.integers(0, 14))
+def test_schur_qpoly_sums_per_group(exps, emax):
+    # groups share one memo: every group sum must equal the sum over its
+    # shapes of the tableau substitution, truncated at emax
+    q = Fraction(1, 3)
+    point = tuple(q**e for e in exps)
+    groups = [gen_partitions(n, max(n, 1)) for n in range(6)] + [[(2, 1), (4,)], []]
+    sums = schur_qpoly_sums(tuple(exps), emax, groups)
+    full = schur_qpoly_sums(tuple(exps), 5 * max(exps), groups)
+    assert len(sums) == len(groups)
+    for group, got, whole in zip(groups, sums, full):
+        assert qp_eval_fraction(whole, q) == sum((schur_tableau(lam, point) for lam in group),
+                                                 Fraction(0))
+        assert got == qp_normalize(whole[: emax + 1])

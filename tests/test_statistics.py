@@ -111,3 +111,30 @@ def test_order_parameters_validated():
         parabose(-1)
     with pytest.raises(ValueError):
         pq(1, 0)
+
+
+ALL_FAMILIES = (
+    [BOSE, FERMI, HST, EVEN_ROWS, EVEN_COLS]
+    + [parafermi(p) for p in (1, 2, 3)]
+    + [parabose(p) for p in (1, 2, 3)]
+    + [pq(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("kind", ALL_FAMILIES, ids=kind_name)
+def test_admitted_partitions_equal_the_filtered_generation(kind):
+    # direct generation against the predicate as oracle, order included
+    for n in range(15):
+        for m in range(1, 9):
+            expected = [lam for lam in gen_partitions(n, m) if admits(kind, lam)]
+            assert admitted_partitions(kind, n, m) == expected, (n, m)
+
+
+@pytest.mark.parametrize("kind", ALL_FAMILIES, ids=kind_name)
+def test_admitted_partitions_reject_bad_sizes(kind):
+    with pytest.raises(ValueError):
+        admitted_partitions(kind, -1, 3)
+    with pytest.raises(ValueError):
+        admitted_partitions(kind, 3, 0)
+    with pytest.raises(ValueError):
+        admitted_partitions(kind, 3, -2)

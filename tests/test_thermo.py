@@ -1,9 +1,11 @@
+import hashlib
 import math
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from schurgas.equivalence import SpectrumSpec, build_spectrum
-from schurgas.statistics import BOSE, FERMI
+from schurgas.statistics import BOSE, FERMI, parse_kind
 from schurgas.thermo import (
     BracketFailure,
     ThermoParams,
@@ -163,3 +165,48 @@ def test_log_weight_overflow_is_a_truncation_failure():
     with pytest.raises(TruncationTail) as info:
         evaluate(BOSE, build_spectrum("eq2", 4), ThermoParams(1.0, 1e307, 24))
     assert info.value.overflow
+
+
+def dense(polys):
+    """The weight polynomials as plain coefficient lists from q^0."""
+    return [[0] * low + list(coeffs) for low, coeffs in polys]
+
+
+@pytest.mark.parametrize("family,qmax,nmax", [("eq2", 5, 8), ("eq1", 4, 8)])
+def test_classical_weight_polys_count_occupations(family, qmax, nmax):
+    # eq1 repeats exponents (degenerate levels): a multiset or subset of the
+    # repeated entries counts each level copy separately
+    exps = build_spectrum(family, qmax).qpoly_exponents()
+    for kind, picks in ((BOSE, combinations_with_replacement), (FERMI, combinations)):
+        polys = dense(_weight_polys(kind, exps, nmax))
+        for n in range(nmax + 1):
+            counts = [0] * (n * max(exps) + 1)
+            for pick in picks(exps, n):
+                counts[sum(pick)] += 1
+            while counts and not counts[-1]:
+                counts.pop()
+            assert polys[n] == counts, (kind, n)
+
+
+# Keys over all eight families and both spectra; the digest of their dense
+# weight polynomials was recorded from the per-shape build that the shared
+# branching-rule memo replaced.
+DIGEST_KEYS = [
+    ("bose", "eq1", 3, 12), ("bose", "eq2", 4, 12), ("fermi", "eq2", 6, 10),
+    ("fermi", "eq1", 4, 10), ("parafermi:2", "eq2", 4, 10), ("parafermi:3", "eq1", 3, 9),
+    ("parabose:2", "eq2", 3, 10), ("parabose:3", "eq1", 3, 8), ("pq:2:3", "eq2", 4, 9),
+    ("pq:3:2", "eq1", 3, 9), ("hst", "eq2", 2, 10), ("hst", "eq1", 2, 9),
+    ("even-rows", "eq2", 3, 10), ("even-rows", "eq1", 2, 10), ("even-cols", "eq2", 4, 10),
+    ("even-cols", "eq1", 3, 10),
+]
+DIGEST = "787fbd7416e97a9b8f48e38f5d8fec8ba5bc0514ecb75b5b111252635b9ccabe"
+
+
+def test_weight_polys_digest():
+    h = hashlib.sha256()
+    for key in DIGEST_KEYS:
+        kind, family, qmax, nmax = key
+        exps = build_spectrum(family, qmax).qpoly_exponents()
+        polys = tuple(tuple(p) for p in dense(_weight_polys(parse_kind(kind), exps, nmax)))
+        h.update((repr(key) + repr(polys) + "\n").encode())
+    assert h.hexdigest() == DIGEST
