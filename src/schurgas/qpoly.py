@@ -15,6 +15,7 @@ Everything here is a plain function on lists, so there is no class.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 QPoly = list[int | Fraction]
@@ -44,9 +45,9 @@ def qp_add_shifted(dst: list[int], src: QPoly, shift: int, emax: int) -> None:
     """
     if shift > emax:
         return
-    stop = min(len(src), emax + 1 - shift)
-    for i in range(stop):
-        dst[shift + i] += src[i]
+    end = min(emax + 1, shift + len(src))
+    # map stops with the shorter slice, so src needs no copy
+    dst[shift:end] = map(add, dst[shift:end], src)
 
 
 def qp_mul(a: QPoly, b: QPoly, emax: int | None = None) -> QPoly:

@@ -21,11 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from operator import add
 from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add, qp_det, qp_normalize
+from .qpoly import QPoly, qp_add, qp_add_shifted, qp_det, qp_normalize
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -38,6 +37,14 @@ class DistinctnessViolation(ValueError):
 def as_point(values: Sequence[Rational | str]) -> EvalPoint:
     """Coerce a sequence of numbers (or "num/den" strings) to exact rationals."""
     return tuple(Fraction(v) for v in values)
+
+
+def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
+    """D and the integers D x_i, with D the lcm of the denominators: a
+    function homogeneous of degree k has its value at xs equal to its value
+    at D xs over D^k, and at D xs it runs on ints."""
+    scale = lcm(*(x.denominator for x in xs))
+    return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
@@ -158,10 +165,7 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     m = len(xs)
     if len(mu) > m:
         return Fraction(0)
-    # m_mu is homogeneous of degree |mu|: evaluate at D x, with D the lcm of
-    # the denominators, on ints and divide D^|mu| back out.
-    scale = lcm(*(x.denominator for x in xs))
-    ys = [int(x * scale) for x in xs]
+    scale, ys = clear_denominators(xs)
     memo: dict[tuple[int, ...], int] = {}
 
     def rest(exps: tuple[int, ...]) -> int:
@@ -235,11 +239,10 @@ def schur_qpoly_sums(
             slots.append(range(shape[-1] + 1))
         for mu in product(*slots):
             shift = e * (w - sum(mu))
-            if shift > top:
-                continue
-            src = level(j - 1, mu[:-1] if mu and not mu[-1] else mu)
-            end = min(top + 1, shift + len(src))
-            acc[shift:end] = map(add, acc[shift:end], src)
+            if shift <= top:
+                if mu and not mu[-1]:
+                    mu = mu[:-1]
+                qp_add_shifted(acc, level(j - 1, mu), shift, top)
         poly = acc if top == full else qp_normalize(acc)
         memo[key] = poly
         return poly

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .canonical import z_canonical
 from .qpoly import QPoly, qp_det, qp_divexact, qp_mul, qp_mul_factor, qp_normalize
-from .schur import DistinctnessViolation, EvalPoint, Rational, as_point
+from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
 from .statistics import StatisticsKind, UnsupportedKind, kind_name
 
 
@@ -159,8 +158,7 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
     # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so both
     # determinants are integer polynomials in w.
-    scale = lcm(*(x.denominator for x in xs))
-    ys = [int(x * scale) for x in xs]
+    scale, ys = clear_denominators(xs)
     num = qp_det(
         [[_monomial_diff(ys[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )

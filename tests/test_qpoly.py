@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from schurgas.qpoly import (
+    qp_add_shifted,
     qp_det,
     qp_divexact,
     qp_geometric_rows,
@@ -189,3 +190,14 @@ def test_geometric_rows_count_multisets(exponents):
             if total <= emax:
                 brute[total] += 1
         assert rows[n] == brute
+
+
+def test_add_shifted_truncates_in_place():
+    dst = [1, 1, 1, 1]
+    qp_add_shifted(dst, [2, 3, 4], 2, 3)
+    assert dst == [1, 1, 3, 4]
+    qp_add_shifted(dst, [5], 0, 3)
+    assert dst == [6, 1, 3, 4]
+    qp_add_shifted(dst, [7, 7], 4, 3)
+    qp_add_shifted(dst, [], 1, 3)
+    assert dst == [6, 1, 3, 4]
