@@ -254,6 +254,9 @@ def schur_qpoly_sums(
             if len(lam) <= m:
                 total = qp_add(total, level(m, tuple(lam)))
         sums.append(total)
+    # level refers to itself through its closure, so the memo would wait for
+    # the cycle collector; free it now
+    memo.clear()
     return sums
 
 
