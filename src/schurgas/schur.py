@@ -24,7 +24,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add, qp_add_shifted, qp_det, qp_normalize
+from .qpoly import QPoly, qp_add, qp_add_shifted, qp_det
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -216,7 +216,8 @@ def schur_qpoly_sums(
     m = len(exps)
     # s_lam on the first j variables has degree sum_i lam_i * desc[j][i], the
     # exponents taken largest first: its leading monomial, and no coefficient
-    # is negative to cancel it.
+    # is negative to cancel it. An entry cut at emax may end in zeros; the
+    # group sums normalize.
     desc = [sorted(exps[:j], reverse=True) for j in range(m + 1)]
     memo: dict[tuple[int, Partition], QPoly] = {}
 
@@ -227,8 +228,7 @@ def schur_qpoly_sums(
         poly = memo.get(key)
         if poly is not None:
             return poly
-        full = sum(p * e for p, e in zip(shape, desc[j]))
-        top = min(full, emax)
+        top = min(sum(p * e for p, e in zip(shape, desc[j])), emax)
         acc = [0] * (top + 1)
         e = exps[j - 1]
         w = sum(shape)
@@ -243,9 +243,8 @@ def schur_qpoly_sums(
                 if mu and not mu[-1]:
                     mu = mu[:-1]
                 qp_add_shifted(acc, level(j - 1, mu), shift, top)
-        poly = acc if top == full else qp_normalize(acc)
-        memo[key] = poly
-        return poly
+        memo[key] = acc
+        return acc
 
     sums = []
     for group in groups:
