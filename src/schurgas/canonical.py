@@ -9,21 +9,22 @@ from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .qpoly import QPoly
-from .schur import Rational, as_point, schur_qpoly_sums, schur_tableau
+from .schur import Rational, as_point, clear_denominators, schur_int_sums, schur_qpoly_sums
 from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions
 
 
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
     """Z_N for an M-level system (M = number of coordinates): the sum of
     s_lam over the partitions of n admitted by `kind`, with length <= M.
-
     Z_0 = 1 for every kind.
+
+    The sum runs on ints: schur_int_sums at the point D x of
+    clear_denominators, divided by D^n.
     """
     xs = as_point(point)
-    total = Fraction(0)
-    for lam in admitted_partitions(kind, n, len(xs)):
-        total += schur_tableau(lam, xs)
-    return total
+    scale, ys = clear_denominators(xs)
+    groups = [admitted_partitions(kind, n, len(xs))]
+    return Fraction(schur_int_sums(ys, groups)[0], scale ** n)
 
 
 def z_occupation_oracle(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:

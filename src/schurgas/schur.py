@@ -1,24 +1,24 @@
 """Exact Schur-function evaluation, Kostka numbers and monomial symmetric
 functions.
 
-Two independent backends evaluate s_lam at a point of rationals:
+One engine sums s_lam over groups of shapes by the branching rule
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), with one
+memo keyed by (levels used, shape) for every shape of every group. Two thin
+fronts supply its arithmetic: `schur_int_sums` at an integer point (for
+`z_canonical` and `gpf_definition`, at the D x of `clear_denominators`),
+and `schur_qpoly_sums` at x_i = q^(e_i), on integer coefficient lists in q
+cut at a degree cap (for thermo; `schur_qpoly` is its one-shape case).
 
-* `schur_tableau` enumerates semistandard Young tableaux depth-first. It is
-  total (repeated and zero coordinates are fine) and is the reference
-  implementation.
-* `schur_bialternant` is the determinant ratio det(x_i^(lam_j + M - j)) /
-  det(x_i^(M - j)). It needs pairwise-distinct coordinates (the denominator
-  is the Vandermonde determinant) and exists as a cross-check.
-
-`schur_qpoly_sums` evaluates sums of s_lam at monomial points x_i = q^(e_i)
-as exact integer coefficient lists in q, truncated at a degree cap, by one
-branching-rule recursion shared across all the shapes it is given;
-`schur_qpoly` is its one-shape case.
+Two independent oracles evaluate one s_lam at a point of rationals:
+`schur_tableau` sums semistandard Young tableaux (total: repeated and zero
+coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
+det(x_i^(M - j)), which needs pairwise-distinct coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm, prod
 from typing import Iterable, Sequence
@@ -186,18 +186,59 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
+def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], one, entry) -> list[list]:
+    """Per group, the values of its shapes with at most m parts: s_lam on
+    the first j variables is the sum, over the horizontal strips lam/mu, of
+    x_j^|lam/mu| s_mu on the first j - 1. The front gives the empty shape's
+    value `one` and entry(j, lam, strips, below), which combines the
+    (|lam/mu|, mu) in strips and the below(mu) = s_mu it asks for; a mu it
+    does not ask for is never visited. The memo lives for this call only."""
+    memo: dict[tuple[int, Partition], object] = {}
+
+    def level(j: int, shape: Partition):
+        if not shape:
+            return one
+        key = (j, shape)
+        value = memo.get(key)
+        if value is None:
+            w = sum(shape)
+            # mu_i ranges over [lam_(i+1), lam_i]; mu may keep at most j - 1
+            # parts, so its last slot exists only when lam has fewer than j.
+            slots = [range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)]
+            if len(shape) < j:
+                slots.append(range(shape[-1] + 1))
+            strips = [(w - sum(mu), mu[:-1] if mu and not mu[-1] else mu)
+                      for mu in product(*slots)]
+            value = memo[key] = entry(j, shape, strips, lambda mu: level(j - 1, mu))
+        return value
+
+    values = [[level(m, tuple(lam)) for lam in group if len(lam) <= m] for group in groups]
+    # level refers to itself through its closure, so the memo would wait for
+    # the cycle collector; free it now
+    memo.clear()
+    return values
+
+
+def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> list[int]:
+    """For each group of shapes, the sum of s_lam at the integer point ys,
+    adding y_j^k s_mu per strip of size k. A shape with more parts than
+    there are coordinates contributes 0; an empty group sums to 0."""
+
+    def entry(j, shape, strips, below):
+        y = ys[j - 1]  # at y_j = 0 only the empty strip survives
+        return sum(y ** k * below(mu) for k, mu in strips if y or not k)
+
+    return [sum(values) for values in _branching_sums(len(ys), groups, 1, entry)]
+
+
 def schur_qpoly_sums(
     exponents: Sequence[int], emax: int, groups: Iterable[Iterable[Partition]]
 ) -> list[QPoly]:
     """For each group of shapes, the sum of s_lam at x_i = q^(e_i) over the
-    group, as an integer coefficient list truncated at degree emax.
-
-    One branching-rule recursion serves every shape of every group:
-    s_lam(q^e1..q^ej) is the sum, over the mu with lam_(i+1) <= mu_i <= lam_i
-    (lam/mu a horizontal strip), of q^(e_j |lam/mu|) s_mu(q^e1..q^e(j-1))
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11). The memo,
-    keyed by (levels used, shape), lives for this call only, and each entry
-    is as long as its polynomial's degree.
+    group, as an integer coefficient list truncated at degree emax, adding
+    q^(e_j k) s_mu per strip of size k. A term with e_j k > emax is dropped
+    without visiting its sub-shape; each memo entry is as long as its
+    polynomial's degree.
 
     Args:
         exponents: nonnegative integers e_i, one per variable.
@@ -213,50 +254,23 @@ def schur_qpoly_sums(
     if emax < 0:
         raise ValueError("emax must be nonnegative")
     exps = tuple(exponents)
-    m = len(exps)
     # s_lam on the first j variables has degree sum_i lam_i * desc[j][i], the
     # exponents taken largest first: its leading monomial, and no coefficient
     # is negative to cancel it. An entry cut at emax may end in zeros; the
     # group sums normalize.
-    desc = [sorted(exps[:j], reverse=True) for j in range(m + 1)]
-    memo: dict[tuple[int, Partition], QPoly] = {}
+    desc = [sorted(exps[:j], reverse=True) for j in range(len(exps) + 1)]
 
-    def level(j: int, shape: Partition) -> QPoly:
-        if not shape:
-            return [1]
-        key = (j, shape)
-        poly = memo.get(key)
-        if poly is not None:
-            return poly
+    def entry(j, shape, strips, below):
         top = min(sum(p * e for p, e in zip(shape, desc[j])), emax)
         acc = [0] * (top + 1)
         e = exps[j - 1]
-        w = sum(shape)
-        # mu_i ranges over [lam_(i+1), lam_i]; mu may keep at most j - 1 parts,
-        # so its last slot exists only when lam has fewer than j parts.
-        slots = [range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)]
-        if len(shape) < j:
-            slots.append(range(shape[-1] + 1))
-        for mu in product(*slots):
-            shift = e * (w - sum(mu))
-            if shift <= top:
-                if mu and not mu[-1]:
-                    mu = mu[:-1]
-                qp_add_shifted(acc, level(j - 1, mu), shift, top)
-        memo[key] = acc
+        for k, mu in strips:
+            if e * k <= top:
+                qp_add_shifted(acc, below(mu), e * k, top)
         return acc
 
-    sums = []
-    for group in groups:
-        total: QPoly = []
-        for lam in group:
-            if len(lam) <= m:
-                total = qp_add(total, level(m, tuple(lam)))
-        sums.append(total)
-    # level refers to itself through its closure, so the memo would wait for
-    # the cycle collector; free it now
-    memo.clear()
-    return sums
+    values = _branching_sums(len(exps), groups, [1], entry)
+    return [reduce(qp_add, polys, []) for polys in values]
 
 
 def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:

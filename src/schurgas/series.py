@@ -21,10 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .canonical import z_canonical
 from .qpoly import QPoly, qp_det, qp_divexact, qp_mul, qp_mul_factor, qp_normalize
-from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
-from .statistics import StatisticsKind, UnsupportedKind, kind_name
+from .schur import (
+    DistinctnessViolation,
+    EvalPoint,
+    Rational,
+    as_point,
+    clear_denominators,
+    schur_int_sums,
+)
+from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
 
 
 class TruncationMismatch(ValueError):
@@ -88,9 +94,14 @@ def expand_factor(a_exp: int, coef: Rational, power: int, nmax: int) -> Fugacity
 
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """The grand series straight from its definition: coefficient of z^N is
-    the canonical Z_N. Available for every statistics."""
+    the canonical Z_N. Available for every statistics. As in z_canonical,
+    but one schur_int_sums call at D x takes a group of shapes per N, so
+    all N share one memo; coefficient n is its group's sum over D^n."""
     xs = as_point(point)
-    return FugacitySeries(nmax, tuple(z_canonical(kind, xs, n) for n in range(nmax + 1)))
+    scale, ys = clear_denominators(xs)
+    groups = [admitted_partitions(kind, n, len(xs)) for n in range(nmax + 1)]
+    sums = schur_int_sums(ys, groups)
+    return FugacitySeries(nmax, tuple(Fraction(s, scale ** n) for n, s in enumerate(sums)))
 
 
 def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
