@@ -78,8 +78,11 @@ def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, not verify's exit 1
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -147,6 +147,19 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "0: 1/1\n1: 5/1\n2: 6/1\n"
 
 
+@pytest.mark.parametrize("where", ["missing/dir/x.txt", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    # a missing parent directory, then a path that is a directory: exit 2
+    # with a message, not a traceback and not verify's mismatch code 1
+    target = tmp_path / where
+    code, out, err = invoke(capsys, ["zn", "--kind", "hst", "--point", "1,2", "--n", "2",
+                                     "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["zn", "--kind=", "--point", "2", "--n", "1"],
     ["gpf", "--kind=", "--point", "2", "--nmax", "2"],
