@@ -1,0 +1,95 @@
+"""Differential tests for the integer front of the branching-rule engine.
+
+`z_canonical` and `gpf_definition` sum s_lam on ints at the point D x of
+`clear_denominators` and divide by D^n. The tableau sum over the admitted
+shapes, in `Fraction` at x itself, is the independent oracle.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from schurgas.canonical import z_canonical
+from schurgas.partitions import gen_partitions
+from schurgas.schur import clear_denominators, schur_int_sums, schur_tableau
+from schurgas.series import gpf_definition
+from schurgas.statistics import (
+    BOSE,
+    EVEN_COLS,
+    EVEN_ROWS,
+    FERMI,
+    HST,
+    admitted_partitions,
+    kind_name,
+    parabose,
+    parafermi,
+    pq,
+)
+
+# every family, with the orders p and bounds q in 1..3
+KINDS = [BOSE, FERMI, HST, EVEN_ROWS, EVEN_COLS] + [
+    make(p) for make in (parafermi, parabose) for p in (1, 2, 3)
+] + [pq(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+
+# zero, negative and mixed-denominator coordinates; lists drawn from these
+# repeat coordinates often
+COORDS = [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4), F(3, 7), F(-7, 6)]
+points = st.lists(st.sampled_from(COORDS), min_size=1, max_size=4).map(tuple)
+
+DERANDOMIZED = settings(derandomize=True, max_examples=12, deadline=None)
+
+
+def tableau_z(kind, point, n):
+    return sum((schur_tableau(lam, point) for lam in admitted_partitions(kind, n, len(point))),
+               F(0))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_name)
+@DERANDOMIZED
+@given(point=points, n=st.integers(0, 5))
+@example(point=(F(0), F(1, 2), F(-2, 3)), n=3)  # zero, negative, denominators 2 and 3
+@example(point=(F(-3), F(-3), F(5, 4)), n=4)  # a repeated negative coordinate
+@example(point=(F(0), F(0)), n=2)  # only zeros
+def test_z_canonical_matches_tableau_sum(kind, point, n):
+    assert z_canonical(kind, point, n) == tableau_z(kind, point, n)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_name)
+@DERANDOMIZED
+@given(point=points, nmax=st.integers(0, 6))
+@example(point=(F(1, 2), F(-2, 3), F(3, 7)), nmax=6)
+def test_gpf_definition_coefficients_are_z_canonical(kind, point, nmax):
+    # one call shares its memo across every N; each coefficient must still
+    # be the N it stands for, over its own power of D
+    series = gpf_definition(kind, point, nmax)
+    assert series.coeffs == tuple(z_canonical(kind, point, n) for n in range(nmax + 1))
+
+
+@DERANDOMIZED
+@given(ys=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+def test_int_sums_per_group(ys):
+    # groups of mixed weights share one memo; shapes longer than the point
+    # contribute 0 and the empty group sums to 0
+    groups = [gen_partitions(n, max(n, 1)) for n in range(6)] + [[(2, 1), (1, 1, 1, 1, 1)], []]
+    sums = schur_int_sums(ys, groups)
+    assert len(sums) == len(groups)
+    for group, got in zip(groups, sums):
+        assert isinstance(got, int)
+        assert got == sum((schur_tableau(lam, ys) for lam in group), F(0))
+
+
+def test_int_sums_edge_cases():
+    assert schur_int_sums([2, 3], [(), [(1, 1, 1)], [(3, 1, 1), (4, 2, 1)]]) == [0, 0, 0]
+    assert schur_int_sums([2, 3], [[()], [(1,)], [(2, 1)], [(1, 1), (1, 1, 1)]]) == [1, 5, 30, 6]
+    assert schur_int_sums([0, 5], [[(2,)], [(1, 1)]]) == [25, 0]
+    assert schur_int_sums([], [[()], [(1,)]]) == [1, 0]
+
+
+def test_z_canonical_divides_by_scale_to_the_n():
+    # D = 6 here, so an error in the power of D would show at every n >= 1
+    point = (F(1, 2), F(1, 3))
+    scale, ys = clear_denominators(point)
+    assert (scale, ys) == (6, [3, 2])
+    assert [z_canonical(BOSE, point, n) for n in range(4)] == [1, F(5, 6), F(19, 36), F(65, 216)]
+    assert gpf_definition(BOSE, point, 3).coeffs == (1, F(5, 6), F(19, 36), F(65, 216))
