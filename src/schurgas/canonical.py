@@ -15,16 +15,25 @@ from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions
 
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
     """Z_N for an M-level system (M = number of coordinates): the sum of
-    s_lam over the partitions of n admitted by `kind`, with length <= M.
-    Z_0 = 1 for every kind.
+    s_lam over the partitions of n admitted by `kind`, with length <= M,
+    summed on ints by the engine's integer front (see z_canonical_sums).
 
-    The sum runs on ints: schur_int_sums at the point D x of
-    clear_denominators, divided by D^n.
+    Z_0 = 1 for every kind.
+    """
+    return z_canonical_sums(kind, point, [n])[0]
+
+
+def z_canonical_sums(
+    kind: StatisticsKind, point: Sequence[Rational], ns: Sequence[int]
+) -> list[Fraction]:
+    """Z_n for each n in ns, from one schur_int_sums call with a group of
+    admitted shapes per n, so every n shares one memo. The sums run on ints
+    at the point D x of clear_denominators; Z_n is its group's sum over D^n.
     """
     xs = as_point(point)
     scale, ys = clear_denominators(xs)
-    groups = [admitted_partitions(kind, n, len(xs))]
-    return Fraction(schur_int_sums(ys, groups)[0], scale ** n)
+    sums = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs)) for n in ns])
+    return [Fraction(total, scale ** n) for n, total in zip(ns, sums)]
 
 
 def z_occupation_oracle(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:

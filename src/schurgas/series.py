@@ -21,16 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .canonical import z_canonical_sums
 from .qpoly import QPoly, qp_det, qp_divexact, qp_mul, qp_mul_factor, qp_normalize
-from .schur import (
-    DistinctnessViolation,
-    EvalPoint,
-    Rational,
-    as_point,
-    clear_denominators,
-    schur_int_sums,
-)
-from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
+from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
+from .statistics import StatisticsKind, UnsupportedKind, kind_name
 
 
 class TruncationMismatch(ValueError):
@@ -94,14 +88,9 @@ def expand_factor(a_exp: int, coef: Rational, power: int, nmax: int) -> Fugacity
 
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """The grand series straight from its definition: coefficient of z^N is
-    the canonical Z_N. Available for every statistics. As in z_canonical,
-    but one schur_int_sums call at D x takes a group of shapes per N, so
-    all N share one memo; coefficient n is its group's sum over D^n."""
-    xs = as_point(point)
-    scale, ys = clear_denominators(xs)
-    groups = [admitted_partitions(kind, n, len(xs)) for n in range(nmax + 1)]
-    sums = schur_int_sums(ys, groups)
-    return FugacitySeries(nmax, tuple(Fraction(s, scale ** n) for n, s in enumerate(sums)))
+    the canonical Z_N. Available for every statistics. All N = 0..nmax come
+    from one z_canonical_sums call, so they share one branching-rule memo."""
+    return FugacitySeries(nmax, tuple(z_canonical_sums(kind, point, range(nmax + 1))))
 
 
 def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
