@@ -16,10 +16,7 @@ from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
     """Z_N for an M-level system (M = number of coordinates): the sum of
     s_lam over the partitions of n admitted by `kind`, with length <= M,
-    summed on ints by the engine's integer front (see z_canonical_sums).
-
-    Z_0 = 1 for every kind.
-    """
+    summed on ints (see z_canonical_sums). Z_0 = 1 for every kind."""
     return z_canonical_sums(kind, point, [n])[0]
 
 
@@ -28,8 +25,7 @@ def z_canonical_sums(
 ) -> list[Fraction]:
     """Z_n for each n in ns, from one schur_int_sums call with a group of
     admitted shapes per n, so every n shares one memo. The sums run on ints
-    at the point D x of clear_denominators; Z_n is its group's sum over D^n.
-    """
+    at the point D x of clear_denominators; Z_n is its group's sum over D^n."""
     xs = as_point(point)
     scale, ys = clear_denominators(xs)
     sums = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs)) for n in ns])

@@ -5,15 +5,14 @@ One engine sums s_lam over groups of shapes by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), with one
 memo keyed by (levels used, shape) for every shape of every group. Two thin
 fronts supply its arithmetic: `schur_int_sums` at an integer point (for
-`z_canonical` and `gpf_definition`, at the D x of `clear_denominators`),
-and `schur_qpoly_sums` at x_i = q^(e_i), on integer coefficient lists in q
-cut at a degree cap (for thermo; `schur_qpoly` is its one-shape case).
+`z_canonical_sums`, at the D x of `clear_denominators`), and
+`schur_qpoly_sums` at x_i = q^(e_i), on integer q-polynomials cut at a
+degree cap (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
 coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
-det(x_i^(M - j)), which needs pairwise-distinct coordinates.
-"""
+det(x_i^(M - j)), which needs pairwise-distinct coordinates."""
 
 from __future__ import annotations
 
@@ -186,13 +185,12 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], one, entry) -> list[list]:
-    """Per group, the values of its shapes with at most m parts: s_lam on
-    the first j variables is the sum, over the horizontal strips lam/mu, of
-    x_j^|lam/mu| s_mu on the first j - 1. The front gives the empty shape's
-    value `one` and entry(j, lam, strips, below), which combines the
-    (|lam/mu|, mu) in strips and the below(mu) = s_mu it asks for; a mu it
-    does not ask for is never visited. The memo lives for this call only."""
+def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], one, start, add) -> list[list]:
+    """Per group, the values of its shapes with at most m parts, by the
+    branching rule: s_lam on j variables sums x_j^k s_mu on j - 1 over the
+    horizontal strips lam/mu of size k. The front's `one` is s_(), start(j,
+    lam) gives an empty accumulator and the largest k kept (no larger strip's
+    mu is visited), and add(acc, j, k, s_mu) adds a term. The memo is local."""
     memo: dict[tuple[int, Partition], object] = {}
 
     def level(j: int, shape: Partition):
@@ -207,9 +205,14 @@ def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], one, entry) -
             slots = [range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)]
             if len(shape) < j:
                 slots.append(range(shape[-1] + 1))
-            strips = [(w - sum(mu), mu[:-1] if mu and not mu[-1] else mu)
-                      for mu in product(*slots)]
-            value = memo[key] = entry(j, shape, strips, lambda mu: level(j - 1, mu))
+            value, reach = start(j, shape)
+            for mu in product(*slots):
+                k = w - sum(mu)
+                if k <= reach:
+                    if mu and not mu[-1]:
+                        mu = mu[:-1]
+                    value = add(value, j, k, level(j - 1, mu))
+            memo[key] = value
         return value
 
     values = [[level(m, tuple(lam)) for lam in group if len(lam) <= m] for group in groups]
@@ -224,11 +227,13 @@ def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> 
     adding y_j^k s_mu per strip of size k. A shape with more parts than
     there are coordinates contributes 0; an empty group sums to 0."""
 
-    def entry(j, shape, strips, below):
-        y = ys[j - 1]  # at y_j = 0 only the empty strip survives
-        return sum(y ** k * below(mu) for k, mu in strips if y or not k)
+    def start(j, shape):
+        return 0, sum(shape) if ys[j - 1] else 0  # at y_j = 0 only k = 0 counts
 
-    return [sum(values) for values in _branching_sums(len(ys), groups, 1, entry)]
+    def add(acc, j, k, sub):
+        return acc + ys[j - 1] ** k * sub
+
+    return [sum(values) for values in _branching_sums(len(ys), groups, 1, start, add)]
 
 
 def schur_qpoly_sums(
@@ -260,16 +265,16 @@ def schur_qpoly_sums(
     # group sums normalize.
     desc = [sorted(exps[:j], reverse=True) for j in range(len(exps) + 1)]
 
-    def entry(j, shape, strips, below):
+    def start(j, shape):
         top = min(sum(p * e for p, e in zip(shape, desc[j])), emax)
-        acc = [0] * (top + 1)
         e = exps[j - 1]
-        for k, mu in strips:
-            if e * k <= top:
-                qp_add_shifted(acc, below(mu), e * k, top)
+        return [0] * (top + 1), top // e if e else sum(shape)
+
+    def add(acc, j, k, sub):
+        qp_add_shifted(acc, sub, exps[j - 1] * k, len(acc) - 1)
         return acc
 
-    values = _branching_sums(len(exps), groups, [1], entry)
+    values = _branching_sums(len(exps), groups, [1], start, add)
     return [reduce(qp_add, polys, []) for polys in values]
 
 
