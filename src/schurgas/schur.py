@@ -228,7 +228,7 @@ def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> 
     there are coordinates contributes 0; an empty group sums to 0."""
 
     def start(j, shape):
-        return 0, sum(shape) if ys[j - 1] else 0  # at y_j = 0 only k = 0 counts
+        return 0, (sum(shape) if ys[j - 1] else 0)  # at y_j = 0 only k = 0 counts
 
     def add(acc, j, k, sub):
         return acc + ys[j - 1] ** k * sub
@@ -268,7 +268,7 @@ def schur_qpoly_sums(
     def start(j, shape):
         top = min(sum(p * e for p, e in zip(shape, desc[j])), emax)
         e = exps[j - 1]
-        return [0] * (top + 1), top // e if e else sum(shape)
+        return [0] * (top + 1), (top // e if e else sum(shape))
 
     def add(acc, j, k, sub):
         qp_add_shifted(acc, sub, exps[j - 1] * k, len(acc) - 1)
