@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_all_demos_found():
-    assert len(DEMOS) == 5
+def test_demos_found():
+    # an empty glob would leave the parametrized test below with no cases
+    assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
