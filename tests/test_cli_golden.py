@@ -2,15 +2,19 @@
 output format, compared against `cli_golden.json`.
 
 The recorded outputs pin the exact layer end to end, so a refactor of the
-arithmetic underneath must leave every byte unchanged. To record them again
-(only when an output is meant to change), run
+arithmetic underneath must leave every byte unchanged. Run as a script,
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+it lists the cases whose output differs from the recording and exits 1 if
+any does. To record them again (only when an output is meant to change),
+add `--record`.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,5 +64,21 @@ def test_cli_output_is_byte_identical(golden, argv):
     assert record(argv) == golden[" ".join(argv)]
 
 
+def main(args: list[str]) -> int:
+    if args not in ([], ["--record"]):
+        print(f"usage: {Path(__file__).name} [--record]", file=sys.stderr)
+        return 2
+    fresh = [record(argv) for argv in CASES]
+    if args:
+        GOLDEN.write_text(json.dumps(fresh, indent=1) + "\n")
+        return 0
+    recorded = {" ".join(g["argv"]): g for g in json.loads(GOLDEN.read_text())}
+    differing = [" ".join(r["argv"]) for r in fresh if recorded.get(" ".join(r["argv"])) != r]
+    for case in differing:
+        print(f"differs: {case}")
+    print(f"{len(differing)} of {len(fresh)} cases differ")
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([record(argv) for argv in CASES], indent=1) + "\n")
+    sys.exit(main(sys.argv[1:]))
