@@ -9,7 +9,7 @@ Ends with the inverse problem: find mu for a prescribed filling.
 
 from schurgas.equivalence import build_spectrum
 from schurgas.statistics import BOSE, FERMI
-from schurgas.thermo import ThermoParams, evaluate, solve_mu, sweep_csv
+from schurgas.thermo import ThermoParams, evaluate, solve_mu
 
 # 8 levels at 1/2, 3/2, ..., 15/2 (units of hw). The particle cutoff is
 # generous because the bose occupancy near mu = 0 puts real weight on
@@ -32,8 +32,3 @@ for kind, label in ((BOSE, "bose"), (FERMI, "fermi")):
     mu = solve_mu(kind, spec, beta, 2.0, nmax)
     back = evaluate(kind, spec, ThermoParams(beta, mu, nmax)).mean_n
     print(f"  {label:5} mu/hw = {mu:+.6f}   check <N> = {back:.9f}")
-
-print()
-print("csv sweep (also available from the command line):")
-runs = [ThermoParams(b, -1.0, nmax) for b in (0.5, 1.0, 2.0)]
-print(sweep_csv(FERMI, spec, runs))

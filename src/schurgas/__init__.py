@@ -1,122 +1,33 @@
 """Exact partition functions for quantum statistics defined by restrictions
-on integer partitions, evaluated through Schur functions."""
+on integer partitions, evaluated through Schur functions.
 
-from .canonical import z_canonical, z_canonical_qpoly, z_occupation_oracle
-from .equivalence import (
-    BiSeries,
-    EquivalenceReport,
-    SpectrumSpec,
-    build_spectrum,
-    check_equivalence,
-    eq1_degeneracy,
-    gpf_bose_biseries,
-    gpf_evencols_biseries,
-)
-from .partitions import conjugate, gen_partitions, is_partition, iter_partitions, weight
-from .schur import (
-    DistinctnessViolation,
-    kostka,
-    monomial_sym,
-    schur_bialternant,
-    schur_qpoly,
-    schur_tableau,
-)
-from .series import (
-    DivisionInconsistency,
-    FugacitySeries,
-    IdentityReport,
-    TruncationMismatch,
-    expand_factor,
-    gpf_closed_form,
-    gpf_definition,
-    gpf_parafermi_det,
-    gpf_product,
-    series_mul,
-    series_one,
-    verify_identity,
-)
-from .statistics import (
-    BOSE,
-    EVEN_COLS,
-    EVEN_ROWS,
-    FERMI,
-    HST,
-    StatisticsKind,
-    UnsupportedKind,
-    admits,
-    admitted_partitions,
-    kind_name,
-    parabose,
-    parafermi,
-    parse_kind,
-    pq,
-)
-from .thermo import (
-    BracketFailure,
-    ThermoParams,
-    ThermoResult,
-    TruncationTail,
-    evaluate,
-    solve_mu,
-    sweep_csv,
-)
+The top level holds the calls a user starts from; everything else, the
+oracles included, is imported from its module (`schurgas.schur`,
+`schurgas.partitions`, ...)."""
+
+from .canonical import z_canonical
+from .equivalence import build_spectrum, check_equivalence
+from .schur import DistinctnessViolation
+from .series import DivisionInconsistency, gpf_closed_form, gpf_definition, verify_identity
+from .statistics import UnsupportedKind, parse_kind
+from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 __all__ = [
-    "BOSE",
-    "BiSeries",
     "BracketFailure",
     "DistinctnessViolation",
     "DivisionInconsistency",
-    "EVEN_COLS",
-    "EVEN_ROWS",
-    "EquivalenceReport",
-    "FERMI",
-    "FugacitySeries",
-    "HST",
-    "IdentityReport",
-    "SpectrumSpec",
-    "StatisticsKind",
     "ThermoParams",
-    "ThermoResult",
-    "TruncationMismatch",
     "TruncationTail",
     "UnsupportedKind",
-    "admits",
-    "admitted_partitions",
     "build_spectrum",
     "check_equivalence",
-    "conjugate",
-    "eq1_degeneracy",
     "evaluate",
-    "expand_factor",
-    "gen_partitions",
-    "gpf_bose_biseries",
     "gpf_closed_form",
     "gpf_definition",
-    "gpf_evencols_biseries",
-    "gpf_parafermi_det",
-    "gpf_product",
-    "is_partition",
-    "iter_partitions",
-    "kind_name",
-    "kostka",
-    "monomial_sym",
-    "parabose",
-    "parafermi",
     "parse_kind",
-    "pq",
-    "schur_bialternant",
-    "schur_qpoly",
-    "schur_tableau",
-    "series_mul",
-    "series_one",
     "solve_mu",
-    "sweep_csv",
     "verify_identity",
-    "weight",
     "z_canonical",
-    "z_canonical_qpoly",
-    "z_occupation_oracle",
 ]
 
 __version__ = "0.1.0"

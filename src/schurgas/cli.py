@@ -5,6 +5,7 @@ output. Exit codes: 0 success or verified, 1 a checked identity was
 falsified, 2 usage error, 3 numeric failure (truncation or bracketing).
 All randomness is seeded, all arithmetic outside `thermo` exact, so a given
 argv always produces byte-identical output. Rationals print as "num/den".
+Each handler returns an `Output` of plain values; `_emit` formats it.
 """
 
 from __future__ import annotations
@@ -14,34 +15,23 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Any, Iterable, NamedTuple
 
 from .canonical import z_canonical
 from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
 from .schur import DistinctnessViolation, schur_bialternant, schur_tableau
-from .series import (
-    DivisionInconsistency,
-    frac_str,
-    gpf_definition,
-    verify_identity,
-)
-from .statistics import (
-    UnsupportedKind,
-    admitted_partitions,
-    kind_name,
-    parse_kind,
-)
-from .thermo import (
-    BracketFailure,
-    ThermoParams,
-    TruncationTail,
-    evaluate,
-    solve_mu,
-    thermo_csv,
-)
+from .series import DivisionInconsistency, gpf_definition, verify_identity
+from .statistics import UnsupportedKind, admitted_partitions, kind_name, parse_kind
+from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
+
+
+def frac_str(x: Fraction) -> str:
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
@@ -76,7 +66,37 @@ def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return tuple(seen)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+class Output(NamedTuple):
+    """What a handler found, before any formatting: the exit code, the JSON
+    record, the CSV header and rows, and the text lines. Rows and lines may
+    be generators, since only the format asked for is consumed."""
+
+    code: int
+    record: Any
+    header: tuple[str, ...]
+    rows: Iterable[tuple]
+    lines: Iterable[str]
+
+
+_INDENTED_JSON = frozenset({"verify", "equivalence"})
+
+
+def _cell(value) -> str:
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    return "" if value is None else str(value)
+
+
+def _emit(args: argparse.Namespace, out: Output) -> int:
+    """Write the output in the requested format; the only code that turns a
+    result into bytes. Returns the handler's exit code."""
+    if args.format == "json":
+        indent = 2 if args.subcommand in _INDENTED_JSON else None
+        text = json.dumps(out.record, default=frac_str, indent=indent) + "\n"
+    elif args.format == "csv":
+        text = "".join(",".join(map(_cell, row)) + "\n" for row in (out.header, *out.rows))
+    else:
+        text = "".join(line + "\n" for line in out.lines)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -85,172 +105,113 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+    return out.code
 
 
-def _partition_label(lam: tuple[int, ...]) -> str:
-    return ",".join(str(p) for p in lam) if lam else "-"
-
-
-def _cmd_partitions(args: argparse.Namespace) -> int:
+def _cmd_partitions(args: argparse.Namespace) -> Output:
     max_parts = args.max_parts if args.max_parts is not None else max(args.n, 1)
     parts = admitted_partitions(args.kind, args.n, max_parts)
-    if args.format == "json":
-        text = json.dumps([list(lam) for lam in parts]) + "\n"
-    elif args.format == "csv":
-        text = "partition\n" + "".join(
-            ("+".join(str(p) for p in lam) if lam else "") + "\n" for lam in parts
-        )
-    else:
-        text = "".join(_partition_label(lam) + "\n" for lam in parts)
-    _emit(args, text)
-    return 0
+    return Output(
+        0, parts, ("partition",),
+        (("+".join(map(str, lam)),) for lam in parts),
+        (",".join(map(str, lam)) if lam else "-" for lam in parts),
+    )
 
 
-def _cmd_schur(args: argparse.Namespace) -> int:
+def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
     tab = schur_tableau(shape, args.point)
     try:
         alt: Fraction | None = schur_bialternant(shape, args.point)
     except DistinctnessViolation:
         alt = None
-    if args.format == "json":
-        text = json.dumps({
-            "shape": list(shape),
-            "point": [frac_str(x) for x in args.point],
-            "tableau": frac_str(tab),
-            "bialternant": frac_str(alt) if alt is not None else None,
-        }) + "\n"
-    elif args.format == "csv":
-        text = "backend,value\ntableau,{}\nbialternant,{}\n".format(
-            frac_str(tab), frac_str(alt) if alt is not None else "")
-    else:
-        text = f"tableau = {frac_str(tab)}\n"
-        if alt is None:
-            text += "bialternant = unavailable (repeated coordinates)\n"
-        else:
-            text += f"bialternant = {frac_str(alt)}\n"
-    _emit(args, text)
-    return 0
+    return Output(
+        0,
+        {"shape": shape, "point": args.point, "tableau": tab, "bialternant": alt},
+        ("backend", "value"),
+        [("tableau", tab), ("bialternant", alt)],
+        [f"tableau = {frac_str(tab)}",
+         "bialternant = " + ("unavailable (repeated coordinates)" if alt is None
+                             else frac_str(alt))],
+    )
 
 
-def _cmd_zn(args: argparse.Namespace) -> int:
+def _cmd_zn(args: argparse.Namespace) -> Output:
     value = z_canonical(args.kind, args.point, args.n)
-    if args.format == "json":
-        text = json.dumps({
-            "kind": kind_name(args.kind),
-            "point": [frac_str(x) for x in args.point],
-            "n": args.n,
-            "value": frac_str(value),
-        }) + "\n"
-    elif args.format == "csv":
-        text = f"n,value\n{args.n},{frac_str(value)}\n"
-    else:
-        text = frac_str(value) + "\n"
-    _emit(args, text)
-    return 0
+    return Output(
+        0,
+        {"kind": kind_name(args.kind), "point": args.point, "n": args.n, "value": value},
+        ("n", "value"), [(args.n, value)], [frac_str(value)],
+    )
 
 
-def _cmd_gpf(args: argparse.Namespace) -> int:
-    series = gpf_definition(args.kind, args.point, args.nmax)
-    if args.format == "json":
-        text = json.dumps({
-            "kind": kind_name(args.kind),
-            "point": [frac_str(x) for x in args.point],
-            "nmax": args.nmax,
-            "coeffs": series.json_coeffs(),
-        }) + "\n"
-    elif args.format == "csv":
-        text = "n,coeff\n" + "".join(
-            f"{n},{frac_str(c)}\n" for n, c in enumerate(series.coeffs))
-    else:
-        text = "".join(f"{n}: {frac_str(c)}\n" for n, c in enumerate(series.coeffs))
-    _emit(args, text)
-    return 0
+def _cmd_gpf(args: argparse.Namespace) -> Output:
+    coeffs = gpf_definition(args.kind, args.point, args.nmax).coeffs
+    return Output(
+        0,
+        {"kind": kind_name(args.kind), "point": args.point, "nmax": args.nmax,
+         "coeffs": coeffs},
+        ("n", "coeff"), enumerate(coeffs),
+        (f"{n}: {frac_str(c)}" for n, c in enumerate(coeffs)),
+    )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Output:
     kinds = [parse_kind(k) for k in VERIFY_ALL_KINDS] if args.all else [args.kind]
-    if kinds == [None]:
-        raise ValueError("verify needs --kind or --all")
     rng = random.Random(args.seed)
     if args.point is not None:
         points = [args.point]
     else:
         points = [tuple(Fraction(p) for p in (2, 3, 5)), random_point(rng, 3)]
     reports = [verify_identity(kind, point, args.nmax) for kind in kinds for point in points]
-    if args.format == "json":
-        text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-    elif args.format == "csv":
-        text = "kind,point,nmax,equal,first_mismatch\n" + "".join(
-            '{},"{}",{},{},{}\n'.format(
-                kind_name(r.kind),
-                ",".join(frac_str(x) for x in r.point),
-                r.nmax,
-                r.equal,
-                "" if r.first_mismatch is None else r.first_mismatch,
-            ) for r in reports)
-    else:
-        lines = []
-        for r in reports:
-            where = "OK" if r.equal else f"MISMATCH at z^{r.first_mismatch}"
-            pt = ", ".join(frac_str(x) for x in r.point)
-            lines.append(f"{kind_name(r.kind)} @ ({pt}) nmax={r.nmax}: {where}\n")
-        text = "".join(lines)
-    _emit(args, text)
-    return 0 if all(r.equal for r in reports) else 1
+    return Output(
+        0 if all(r.equal for r in reports) else 1,
+        [{"kind": kind_name(r.kind), "point": r.point, "nmax": r.nmax, "equal": r.equal,
+          "first_mismatch": r.first_mismatch, "lhs": r.lhs.coeffs, "rhs": r.rhs.coeffs}
+         for r in reports],
+        ("kind", "point", "nmax", "equal", "first_mismatch"),
+        ((kind_name(r.kind), '"{}"'.format(",".join(map(frac_str, r.point))), r.nmax,
+          r.equal, r.first_mismatch) for r in reports),
+        (f"{kind_name(r.kind)} @ ({', '.join(map(frac_str, r.point))}) nmax={r.nmax}: "
+         + ("OK" if r.equal else f"MISMATCH at z^{r.first_mismatch}") for r in reports),
+    )
 
 
-def _cmd_equivalence(args: argparse.Namespace) -> int:
+def _cmd_equivalence(args: argparse.Namespace) -> Output:
     report = check_equivalence(args.qmax)
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    elif args.format == "csv":
-        text = report.degeneracy_csv()
-    else:
-        lines = [f"qmax = {report.qmax}\n", f"equal = {report.equal}\n"]
-        if report.first_mismatch:
-            j, t = report.first_mismatch
-            lines.append(f"first mismatch at a^{j} q^{t}\n")
-        degs = ",".join(str(d) for _, d in report.degeneracy_table)
-        lines.append(f"degeneracies: {degs}\n")
-        for t, bose_mult, pair_mult in report.factor_audit:
-            lines.append(f"q^{t}: bose factor multiplicity {bose_mult}, pair count {pair_mult}\n")
-        text = "".join(lines)
-    _emit(args, text)
-    return 0 if report.equal else 1
+    mismatch = report.first_mismatch
+    return Output(
+        0 if report.equal else 1,
+        {"qmax": report.qmax, "equal": report.equal, "first_mismatch": mismatch,
+         "bose": report.bose.coeffs, "evencols": report.evencols.coeffs,
+         "degeneracy_table": report.degeneracy_table, "factor_audit": report.factor_audit},
+        ("level_index", "energy_halfq", "degeneracy"),
+        ((m, 2 * m + 3, d) for m, d in report.degeneracy_table),
+        [f"qmax = {report.qmax}", f"equal = {report.equal}",
+         *([] if mismatch is None else ["first mismatch at a^{} q^{}".format(*mismatch)]),
+         "degeneracies: " + ",".join(str(d) for _, d in report.degeneracy_table),
+         *(f"q^{t}: bose factor multiplicity {b}, pair count {c}"
+           for t, b, c in report.factor_audit)],
+    )
 
 
-def _cmd_thermo(args: argparse.Namespace) -> int:
+def _cmd_thermo(args: argparse.Namespace) -> Output:
     spec = build_spectrum(args.spectrum, args.qmax)
     if args.target_n is not None:
         mu = solve_mu(args.kind, spec, args.beta, args.target_n, args.nmax)
     else:
         mu = args.mu
-    params = ThermoParams(args.beta, mu, args.nmax)
-    result = evaluate(args.kind, spec, params)
-    if args.format == "json":
-        text = json.dumps({
-            "kind": kind_name(args.kind),
-            "spectrum": args.spectrum,
-            "qmax": args.qmax,
-            "nmax": args.nmax,
-            "beta_hw": args.beta,
-            "mu_over_hw": mu,
-            "logZ": result.logZ,
-            "mean_n": result.mean_n,
-            "mean_e_over_hw": result.mean_e_over_hw,
-        }) + "\n"
-    elif args.format == "csv":
-        text = thermo_csv([(params, result)])
-    else:
-        text = (
-            f"mu_over_hw = {mu!r}\n"
-            f"logZ = {result.logZ!r}\n"
-            f"meanN = {result.mean_n!r}\n"
-            f"meanE_over_hw = {result.mean_e_over_hw!r}\n"
-        )
-    _emit(args, text)
-    return 0
+    r = evaluate(args.kind, spec, ThermoParams(args.beta, mu, args.nmax))
+    return Output(
+        0,
+        {"kind": kind_name(args.kind), "spectrum": args.spectrum, "qmax": args.qmax,
+         "nmax": args.nmax, "beta_hw": args.beta, "mu_over_hw": mu, "logZ": r.logZ,
+         "mean_n": r.mean_n, "mean_e_over_hw": r.mean_e_over_hw},
+        ("beta_hw", "mu_over_hw", "meanN", "meanE_over_hw", "logZ"),
+        [(args.beta, mu, r.mean_n, r.mean_e_over_hw, r.logZ)],
+        [f"mu_over_hw = {mu!r}", f"logZ = {r.logZ!r}", f"meanN = {r.mean_n!r}",
+         f"meanE_over_hw = {r.mean_e_over_hw!r}"],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("partitions", parents=[common],
@@ -289,10 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="check closed forms against the defining sum")
-    p.add_argument("--kind")
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--kind")
+    which.add_argument("--all", action="store_true")
     p.add_argument("--point")
     p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--seed", type=int, default=0, help="seeds the random second point")
 
     p = sub.add_parser("equivalence", parents=[common],
                        help="compare the two-spectrum grand series exactly")
@@ -334,7 +296,7 @@ def run(argv: list[str]) -> int:
             args.kind = parse_kind(args.kind)
         if getattr(args, "point", None) is not None:
             args.point = parse_point(args.point)
-        return _HANDLERS[args.subcommand](args)
+        return _emit(args, _HANDLERS[args.subcommand](args))
     except (UnsupportedKind, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

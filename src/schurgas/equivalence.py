@@ -21,7 +21,6 @@ computation, only the docs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .qpoly import qp_geometric_rows
@@ -159,26 +158,6 @@ class EquivalenceReport:
     first_mismatch: tuple[int, int] | None
     degeneracy_table: tuple[tuple[int, int], ...]
     factor_audit: tuple[tuple[int, int, int], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "qmax": self.qmax,
-            "equal": self.equal,
-            "first_mismatch": list(self.first_mismatch) if self.first_mismatch else None,
-            "bose": [list(row) for row in self.bose.coeffs],
-            "evencols": [list(row) for row in self.evencols.coeffs],
-            "degeneracy_table": [list(row) for row in self.degeneracy_table],
-            "factor_audit": [list(row) for row in self.factor_audit],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    def degeneracy_csv(self) -> str:
-        lines = ["level_index,energy_halfq,degeneracy"]
-        for m, d in self.degeneracy_table:
-            lines.append(f"{m},{2 * m + 3},{d}")
-        return "\n".join(lines) + "\n"
 
 
 def _pair_count(t: int) -> int:

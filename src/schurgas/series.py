@@ -35,11 +35,6 @@ class DivisionInconsistency(ArithmeticError):
     """The determinant ratio could not be expanded as a power series."""
 
 
-def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class FugacitySeries:
     """Coefficients c_0..c_nmax of sum c_N z^N, exact rationals."""
@@ -54,12 +49,6 @@ class FugacitySeries:
             raise ValueError("need exactly nmax + 1 coefficients")
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
-    def __mul__(self, other: "FugacitySeries") -> "FugacitySeries":
-        return series_mul(self, other)
-
-    def json_coeffs(self) -> list[str]:
-        return [frac_str(c) for c in self.coeffs]
-
 
 def _series(nmax: int, poly: QPoly) -> FugacitySeries:
     """The series of a kernel polynomial: truncated, or padded with zeros."""
@@ -67,23 +56,11 @@ def _series(nmax: int, poly: QPoly) -> FugacitySeries:
     return FugacitySeries(nmax, coeffs + (0,) * (nmax + 1 - len(coeffs)))
 
 
-def series_one(nmax: int) -> FugacitySeries:
-    return _series(nmax, [1])
-
-
 def series_mul(a: FugacitySeries, b: FugacitySeries) -> FugacitySeries:
     """Cauchy product truncated at the common nmax."""
     if a.nmax != b.nmax:
         raise TruncationMismatch(f"nmax {a.nmax} vs {b.nmax}")
     return _series(a.nmax, qp_mul(a.coeffs, b.coeffs, a.nmax))
-
-
-def expand_factor(a_exp: int, coef: Rational, power: int, nmax: int) -> FugacitySeries:
-    """Truncated expansion of (1 - coef*z^a_exp)^(-1) for power = -1, or the
-    binomial (1 + coef*z^a_exp) for power = +1."""
-    coeffs = [1] + [0] * nmax
-    qp_mul_factor(coeffs, Fraction(coef), a_exp, power)
-    return FugacitySeries(nmax, tuple(coeffs))
 
 
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
@@ -188,17 +165,6 @@ class IdentityReport:
     rhs: FugacitySeries
     equal: bool
     first_mismatch: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": kind_name(self.kind),
-            "point": [frac_str(x) for x in self.point],
-            "nmax": self.nmax,
-            "equal": self.equal,
-            "first_mismatch": self.first_mismatch,
-            "lhs": self.lhs.json_coeffs(),
-            "rhs": self.rhs.json_coeffs(),
-        }
 
 
 def gpf_closed_form(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:

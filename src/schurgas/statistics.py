@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .partitions import Partition, conjugate, iter_partitions
+from .partitions import Partition, iter_partitions
 
 _FAMILIES = (
     "bose",
@@ -169,12 +169,3 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
         halves = iter_partitions(n // 2, max_parts // 2)
         return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
     raise UnsupportedKind(kind_name(kind))
-
-
-def even_cols_by_conjugate(lam: Partition) -> bool:
-    """Definition-level check for the even-columns rule, via the conjugate.
-
-    Kept as an independently testable alternative to the multiplicity route
-    used in `admits`.
-    """
-    return all(part % 2 == 0 for part in conjugate(lam))

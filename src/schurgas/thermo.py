@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .equivalence import SpectrumSpec
 from .qpoly import qp_eval_float, qp_weighted_eval_float
@@ -218,18 +218,3 @@ def solve_mu(
             f"target {target_mean_n} lies beyond the truncation-feasible region"
         )
     raise BracketFailure(f"bisection stalled between {lo} and {hi}")
-
-
-def thermo_csv(rows: Iterable[tuple[ThermoParams, ThermoResult]]) -> str:
-    """CSV of evaluated points; columns fixed for downstream tooling."""
-    lines = ["beta_hw,mu_over_hw,meanN,meanE_over_hw,logZ"]
-    for params, r in rows:
-        lines.append(
-            f"{params.beta_hw!r},{params.mu_over_hw!r},{r.mean_n!r},{r.mean_e_over_hw!r},{r.logZ!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv(kind: StatisticsKind, spec: SpectrumSpec, runs: Iterable[ThermoParams]) -> str:
-    """One evaluate per row, as thermo_csv."""
-    return thermo_csv((params, evaluate(kind, spec, params)) for params in runs)

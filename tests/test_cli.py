@@ -136,6 +136,11 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, ["nonsense"])
     assert code == 2
+    # --kind and --all contradict each other; --seed belongs to verify only
+    code, _, _ = invoke(capsys, ["verify", "--kind", "bose", "--all"])
+    assert code == 2
+    code, _, _ = invoke(capsys, ["zn", "--kind", "hst", "--point", "2", "--n", "1", "--seed", "1"])
+    assert code == 2
 
 
 def test_out_file(tmp_path, capsys):

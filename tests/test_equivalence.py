@@ -1,4 +1,3 @@
-import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,17 +156,3 @@ def test_evencols_rows_match_canonical_qpoly():
         poly = z_canonical_qpoly(EVEN_COLS, exps, 2 * j, qmax)
         padded = list(poly) + [0] * (qmax + 1 - len(poly))
         assert list(series.coeffs[j]) == padded
-
-
-def test_report_serialization_round_trip():
-    report = check_equivalence(4)
-    blob = json.loads(report.to_json())
-    assert blob["equal"] is True
-    assert blob["qmax"] == 4
-    assert blob["bose"] == [list(r) for r in report.bose.coeffs]
-    assert blob["bose"] == blob["evencols"]
-    csv = report.degeneracy_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "level_index,energy_halfq,degeneracy"
-    assert lines[1] == "0,3,1"
-    assert len(lines) == 5

@@ -13,7 +13,6 @@ from schurgas.thermo import (
     _weight_polys,
     evaluate,
     solve_mu,
-    sweep_csv,
 )
 
 SINGLE = SpectrumSpec(((1, 1),), 1)
@@ -120,18 +119,6 @@ def test_mean_energy_tracks_spectrum():
     weights = [math.exp(-beta * e) for e in energies]
     boltzmann = sum(e * w for e, w in zip(energies, weights)) / sum(weights)
     assert abs(per_particle - boltzmann) < 1e-6
-
-
-def test_sweep_csv_layout():
-    spec = build_spectrum("eq2", 4)
-    runs = [ThermoParams(1.0, -2.0, 16), ThermoParams(2.0, -1.0, 16)]
-    text = sweep_csv(BOSE, spec, runs)
-    lines = text.strip().split("\n")
-    assert lines[0] == "beta_hw,mu_over_hw,meanN,meanE_over_hw,logZ"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 1.0
-    assert float(first[2]) > 0
 
 
 def test_weight_cache_is_bounded_and_keeps_a_working_set():
