@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qpoly import qp_geometric_rows
+from .qpoly import Factor, qp_power_sum_rows
 
 
 def eq1_degeneracy(m: int) -> int:
@@ -107,9 +107,9 @@ class BiSeries:
         return self.coeffs[j][t]
 
 
-def _product_biseries(exponents: list[int], qmax: int) -> BiSeries:
-    rows = qp_geometric_rows(exponents, qmax, qmax)
-    return BiSeries(qmax, qmax, tuple(tuple(row) for row in rows))
+def _product_biseries(factors: list[Factor], qmax: int) -> BiSeries:
+    rows = qp_power_sum_rows(factors, qmax, qmax)
+    return BiSeries(qmax, qmax, tuple(tuple(row) + (0,) * (qmax + 1 - len(row)) for row in rows))
 
 
 def gpf_bose_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
@@ -117,12 +117,12 @@ def gpf_bose_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
     (1 - a q^s)^(-degeneracy) with s the level's alpha_exponent."""
     if spec.qmax != qmax:
         raise ValueError("spectrum was built for a different qmax")
-    exponents = []
+    factors = []
     for (energy, degeneracy), s in zip(spec.levels, spec.alpha_exponents()):
         if s < 1:
             raise ValueError("bose factors need q-exponent >= 1; level too low")
-        exponents.extend([s] * degeneracy)
-    return _product_biseries(exponents, qmax)
+        factors.extend([(1, 1, 1, s)] * degeneracy)
+    return _product_biseries(factors, qmax)
 
 
 def gpf_evencols_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
@@ -135,13 +135,13 @@ def gpf_evencols_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
     if any(d != 1 for _, d in spec.levels):
         raise ValueError("pair product expects a non-degenerate spectrum")
     s = spec.alpha_exponents()
-    exponents = [
-        s[i] + s[j]
+    factors = [
+        (1, 1, 1, s[i] + s[j])
         for i in range(len(s))
         for j in range(i + 1, len(s))
         if s[i] + s[j] <= qmax
     ]
-    return _product_biseries(exponents, qmax)
+    return _product_biseries(factors, qmax)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,18 @@ fugacity z in the grand series. Coefficients may be `int` or `Fraction`;
 every operation is exact, and integer inputs give integer outputs (division
 is exact division, never float division). The normalized form has trailing
 zeros stripped, so the zero polynomial is []. Functions taking `emax` drop
-powers above it; the in-place ones (`qp_add_shifted`, `qp_mul_factor`)
-update a dense list whose length the caller fixes.
+powers above it; `qp_add_shifted` updates in place a dense list whose
+length the caller fixes, and `qp_power_sum_rows` expands products in (z, q).
 
 Everything here is a plain function on lists, so there is no class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 QPoly = list[int | Fraction]
 
@@ -65,45 +66,6 @@ def qp_mul(a: QPoly, b: QPoly, emax: int | None = None) -> QPoly:
     return qp_normalize(out)
 
 
-def qp_mul_factor(dst: list, coef, a_exp: int, power: int) -> None:
-    """In-place dst *= (1 - coef q^a_exp)^(-1) for power = -1, or
-    dst *= (1 + coef q^a_exp) for power = +1, truncated at len(dst) - 1.
-
-    The geometric factor sweeps upward so each entry reads one already
-    multiplied (which telescopes the geometric sum); the binomial factor
-    sweeps downward so each entry reads one not yet touched. O(len(dst)).
-    """
-    if a_exp < 1:
-        raise ValueError("a_exp must be positive")
-    if power == -1:
-        steps = range(a_exp, len(dst))
-    elif power == 1:
-        steps = range(len(dst) - 1, a_exp - 1, -1)
-    else:
-        raise ValueError("power must be +1 or -1")
-    for t in steps:
-        if dst[t - a_exp]:
-            dst[t] += coef * dst[t - a_exp]
-
-
-def qp_geometric_rows(exponents: Sequence[int], amax: int, emax: int) -> list[list[int]]:
-    """Rows 0..amax of prod_e 1/(1 - a q^e), truncated at q^emax.
-
-    Row j is the dense coefficient list (length emax + 1) of a^j, i.e. the
-    number of multisets of j exponents from `exponents` by their sum; row
-    n is also the complete homogeneous polynomial h_n at x_i = q^(e_i).
-    Adding a factor with exponent e turns row j into row j + q^e * row j-1
-    for j ascending, reading the row just updated.
-    """
-    rows = [[0] * (emax + 1) for _ in range(amax + 1)]
-    rows[0][0] = 1
-    for e in exponents:
-        for row, prev in zip(rows[1:], rows):
-            for t in range(e, emax + 1):
-                row[t] += prev[t - e]
-    return rows
-
-
 def _divide(x, y):
     """x / y in the coefficients' own ring: int stays int, or raises."""
     if isinstance(x, int) and isinstance(y, int):
@@ -132,6 +94,47 @@ def qp_divexact(a: QPoly, b: QPoly) -> QPoly:
     if any(rem):
         raise ArithmeticError("inexact polynomial division")
     return qp_normalize(quot)
+
+
+Factor = tuple[int, int, int | Fraction, int]
+
+
+def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[QPoly]:
+    """Rows F_0..F_nmax of the product of the factors (r, sign, c, t), each
+    (1 - sign c z^r q^t)^(-sign), geometric for sign 1 and binomial for -1;
+    F_n is the normalized q-polynomial at z^n, cut at q^emax. By Newton's
+    identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m), where Q_m
+    collects r sign^(k+1) c^k q^(t k) over the factors with r k = m, merged
+    first when repeated. Integer c gives integer rows: the division by n is
+    exact (ArithmeticError otherwise)."""
+    merged = Counter(factors)
+    if nmax < 0 or emax < 0 or any(r < 1 or t < 0 or s not in (1, -1) for r, s, _, t in merged):
+        raise ValueError("need r >= 1, t >= 0, sign +1 or -1 and nonnegative bounds")
+    # binomials alone make a polynomial in z, whose rows past its degree are []
+    binomials = all(sign == -1 for _, sign, _, _ in merged)
+    last = min(nmax, sum(f[0] * k for f, k in merged.items())) if binomials else nmax
+    power_sums: list[dict] = [{} for _ in range(last + 1)]
+    for (r, sign, c, t), mult in merged.items():
+        for k in range(1, min(last // r, emax // t if t else last) + 1):
+            terms = power_sums[r * k]
+            terms[t * k] = terms.get(t * k, 0) + mult * r * sign ** (k + 1) * c ** k
+    # F_n has degree at most n times the largest t / r
+    slope = max((Fraction(t, r) for r, _, _, t in merged), default=0)
+    rows: list[tuple[int, QPoly]] = [(0, [1])]  # (lowest degree, coefficients from there up)
+    for n in range(1, last + 1):
+        top = min(emax, int(n * slope))
+        acc = [0] * (top + 1)
+        for m in range(1, n + 1):
+            low, prev = rows[n - m]
+            for shift, coef in power_sums[m].items():
+                if coef and prev and shift + low <= top:
+                    src = prev if coef == 1 else [coef * v for v in prev[: top + 1 - shift - low]]
+                    qp_add_shifted(acc, src, shift + low, top)
+        row = [_divide(v, n) if v else 0 for v in acc]
+        low = next((i for i, v in enumerate(row) if v), 0)
+        rows.append((low, qp_normalize(row[low:])))
+    rows += [(0, [])] * (nmax - last)
+    return [[0] * low + prev for low, prev in rows]
 
 
 def qp_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:

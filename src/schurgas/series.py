@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .canonical import z_canonical_sums
-from .qpoly import QPoly, qp_det, qp_divexact, qp_mul, qp_mul_factor, qp_normalize
+from .qpoly import Factor, QPoly, qp_det, qp_divexact, qp_mul, qp_normalize, qp_power_sum_rows
 from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
 from .statistics import StatisticsKind, UnsupportedKind, kind_name
 
@@ -70,8 +70,15 @@ def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -
     return FugacitySeries(nmax, tuple(z_canonical_sums(kind, point, range(nmax + 1))))
 
 
-def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
-    """Closed product form of the grand series.
+PRODUCT_FAMILIES = ("bose", "fermi", "hst", "even-rows", "even-cols")
+
+
+def product_factors(
+    kind: StatisticsKind, monomials: Sequence[tuple[Rational, int]]
+) -> list[Factor]:
+    """The factors (see qp_power_sum_rows) of the closed product of the
+    grand series at the point x_i = c_i q^(t_i), given as the monomials
+    (c_i, t_i); X_i = z x_i, so z counts particles:
 
     bose:       prod_i 1/(1 - X_i)
     fermi:      prod_i (1 + X_i)
@@ -82,27 +89,23 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
     Raises UnsupportedKind for parabose and pq (no closed form exists) and
     for parafermi (see gpf_parafermi_det).
     """
-    xs = as_point(point)
-    factors: list[tuple[int, Fraction, int]] = []
     fam = kind.family
-    if fam == "bose":
-        factors += [(1, x, -1) for x in xs]
-    elif fam == "fermi":
-        factors += [(1, x, +1) for x in xs]
-    elif fam == "hst":
-        factors += [(1, x, -1) for x in xs]
-        factors += [(2, xi * xj, -1) for k, xi in enumerate(xs) for xj in xs[k + 1 :]]
-    elif fam == "even-rows":
-        factors += [(2, x * x, -1) for x in xs]
-        factors += [(2, xi * xj, -1) for k, xi in enumerate(xs) for xj in xs[k + 1 :]]
-    elif fam == "even-cols":
-        factors += [(2, xi * xj, -1) for k, xi in enumerate(xs) for xj in xs[k + 1 :]]
-    else:
+    if fam not in PRODUCT_FAMILIES:
         raise UnsupportedKind(f"no closed product form for {kind_name(kind)}")
-    coeffs = [1] + [0] * nmax
-    for a_exp, coef, power in factors:
-        qp_mul_factor(coeffs, coef, a_exp, power)
-    return FugacitySeries(nmax, tuple(coeffs))
+    singles = [(1, -1 if fam == "fermi" else 1, c, t) for c, t in monomials]
+    pairs = [(2, 1, ci * cj, ti + tj)
+             for k, (ci, ti) in enumerate(monomials) for cj, tj in monomials[k + 1 :]]
+    squares = [(2, 1, c * c, 2 * t) for c, t in monomials]
+    extra = {"hst": singles + pairs, "even-rows": squares + pairs, "even-cols": pairs}
+    return extra.get(fam, singles)
+
+
+def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
+    """Closed product form of the grand series (see product_factors), on
+    ints at y = D x (clear_denominators), coefficient n divided by D^n."""
+    scale, ys = clear_denominators(as_point(point))
+    rows = qp_power_sum_rows(product_factors(kind, [(y, 0) for y in ys]), nmax, 0)
+    return _series(nmax, [Fraction(sum(row), scale ** n) for n, row in enumerate(rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Everything upstream is exact; floating point enters only here, at the final
 substitution. For a spectrum on the half-quantum grid the N-particle weight
 is an integer polynomial in qh = e^(-beta hw / 2), computed once per
-(statistics, spectrum, truncation) and cached; evaluating at a given beta
-and chemical potential is then a handful of Horner passes, so the mu-solver
-pays the combinatorial price exactly once.
+(statistics, spectrum, truncation), from a closed product where there is
+one, and cached; evaluating at a given beta and chemical potential is then
+a handful of Horner passes, so the mu-solver pays that price exactly once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .equivalence import SpectrumSpec
-from .qpoly import qp_eval_float, qp_weighted_eval_float
+from .qpoly import qp_eval_float, qp_power_sum_rows, qp_weighted_eval_float
 from .schur import schur_qpoly_sums
+from .series import PRODUCT_FAMILIES, product_factors
 from .statistics import StatisticsKind, admitted_partitions
 
 TAIL_BOUND = 1e-9
@@ -74,20 +75,20 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     The zero polynomial is (0, ()).
     """
     # No shape of weight n has degree above n * max(exponents), so one cap
-    # at nmax keeps every N whole and lets all N share one memo.
-    groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
-    out = []
-    for poly in schur_qpoly_sums(exponents, nmax * max(exponents), groups):
-        low = next((t for t, c in enumerate(poly) if c), 0)
-        out.append((low, tuple(poly[low:])))
-    return tuple(out)
+    # at nmax keeps every N whole.
+    emax = nmax * max(exponents)
+    if kind.family in PRODUCT_FAMILIES:  # one table from the closed product
+        polys = qp_power_sum_rows(product_factors(kind, [(1, e) for e in exponents]), nmax, emax)
+    else:  # every N shares one branching-rule memo
+        groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
+        polys = schur_qpoly_sums(exponents, emax, groups)
+    lows = [next((t for t, c in enumerate(poly) if c), 0) for poly in polys]
+    return tuple((low, tuple(poly[low:])) for low, poly in zip(lows, polys))
 
 
-def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
-    """Truncated grand sum sum_N z^N Z_N at z = e^(beta hw mu/hw) and
-    qh = e^(-beta hw/2), with the mean particle number and the mean energy
-    in units of hw. Raises TruncationTail unless the last term is below
-    TAIL_BOUND of the total."""
+def _sectors(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams):
+    """evaluate up to the mean N, all the mu-solver needs: the mean N, the
+    weights z^N Z_N / e^top, their total, top, the polys, qh and r_N(qh)."""
     exponents = spec.qpoly_exponents()
     polys = _weight_polys(kind, exponents, params.nmax)
     qh = math.exp(-params.beta_hw / 2)
@@ -121,6 +122,15 @@ def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> 
             f"mu/hw = {params.mu_over_hw}; increase nmax or lower mu"
         )
     mean_n = math.fsum(n * w for n, w in enumerate(scaled)) / total
+    return mean_n, scaled, total, top, polys, qh, values
+
+
+def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
+    """Truncated grand sum sum_N z^N Z_N at z = e^(beta hw mu/hw) and
+    qh = e^(-beta hw/2), with the mean particle number and the mean energy
+    in units of hw. Raises TruncationTail unless the last term is below
+    TAIL_BOUND of the total."""
+    mean_n, scaled, total, top, polys, qh, values = _sectors(kind, spec, params)
     # half-quantum grid: energy in hw units is t/2 for the q^t coefficient,
     # so the per-N mean energy is d_N/2 plus a ratio of same-scale sums
     mean_e = (
@@ -141,11 +151,12 @@ def solve_mu(
     nmax: int,
 ) -> float:
     """Chemical potential (in hw units) at which the mean particle number
-    hits the target, to MU_REL_TOL relative. Bisection over a bracket found
-    by doubling steps; the mean number must not decrease along the upward
-    hunt, else BracketFailure. Points where the truncation check fails are
-    treated as lying above the target, so the search backs away from them;
-    if the target itself sits beyond the feasible region, TruncationTail."""
+    hits the target to MU_REL_TOL * max(1, target): relative above a target
+    of 1 and absolute below, so a target of 1e-300 may end at mean 0.0.
+    Bisection, on the mean number alone, over a bracket found by doubling
+    steps; the mean must not decrease along the upward hunt, else
+    BracketFailure. Points failing the truncation check count as above the
+    target, so the search backs away; a target beyond them, TruncationTail."""
     if not (target_mean_n > 0 and math.isfinite(target_mean_n)):
         raise ValueError("target mean particle number must be positive and finite")
     tol = MU_REL_TOL * max(1.0, target_mean_n)
@@ -153,7 +164,7 @@ def solve_mu(
 
     def mean_at(mu: float) -> float | str:
         try:
-            return evaluate(kind, spec, ThermoParams(beta_hw, mu, nmax)).mean_n
+            return _sectors(kind, spec, ThermoParams(beta_hw, mu, nmax))[0]
         except TruncationTail as exc:
             return OVER if exc.overflow else WALL
 

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
+from operator import add
 
 import pytest
 
+from schurgas.equivalence import build_spectrum, gpf_bose_biseries, gpf_evencols_biseries
 from schurgas.qpoly import (
     qp_add_shifted,
     qp_det,
     qp_divexact,
-    qp_geometric_rows,
     qp_mul,
-    qp_mul_factor,
     qp_normalize,
+    qp_power_sum_rows,
 )
 
 
@@ -148,48 +149,81 @@ def test_mul_truncates_at_emax():
     assert qp_mul([0, 1], [0, 1], 1) == []
 
 
-def test_mul_factor_geometric_and_binomial():
-    # (1 - c z^2)^(-1) from 1: c^k at z^(2k)
-    dst = [1] + [0] * 6
-    qp_mul_factor(dst, F(1, 3), 2, -1)
-    assert dst == [1, 0, F(1, 3), 0, F(1, 9), 0, F(1, 27)]
-    # (1 + c z^3) from 1 + z: the binomial reads untouched entries
-    dst = [1, 1, 0, 0, 0]
-    qp_mul_factor(dst, 2, 3, 1)
-    assert dst == [1, 1, 0, 2, 2]
-    # the two powers are inverse to each other with coef and -coef
-    rng = random.Random(11)
-    base = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)]
-    dst = list(base)
-    qp_mul_factor(dst, F(2, 5), 3, -1)
-    assert dst != base
-    qp_mul_factor(dst, F(-2, 5), 3, 1)
-    assert dst == base
-    # both agree with the kernel product by the explicit factor
-    dst = list(base)
-    qp_mul_factor(dst, F(-3), 2, 1)
-    assert qp_normalize(dst) == qp_mul(base, [1, 0, F(-3)], len(base) - 1)
+def sweep_rows(factors, nmax, emax):
+    """The per-factor sweep that the power-sum kernel replaced, as its
+    oracle: each factor (1 - sign c z^r q^t)^(-sign) multiplies a dense
+    (z^n, q^e) table in place. A geometric factor sweeps n upward, so each
+    row reads one already multiplied (which telescopes the geometric sum);
+    a binomial one sweeps downward, so each row reads one not yet touched."""
+    rows = [[0] * (emax + 1) for _ in range(nmax + 1)]
+    rows[0][0] = 1
+    for r, sign, c, t in factors:
+        if t > emax:
+            continue
+        for n in range(r, nmax + 1) if sign == 1 else range(nmax, r - 1, -1):
+            row, prev = rows[n], rows[n - r]
+            row[t:] = map(add, row[t:], prev if c == 1 else [c * v for v in prev])
+    return [qp_normalize(row) for row in rows]
 
 
-def test_mul_factor_rejects_bad_factors():
+FACTOR_LISTS = {
+    "geometric": [(1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 1, 3)],
+    "binomial": [(1, -1, 1, 1), (1, -1, 1, 2), (1, -1, 1, 2), (1, -1, 1, 4)],
+    "zero-negative-r2": [(1, 1, -2, 1), (2, 1, 3, 0), (2, -1, 0, 1), (1, -1, -1, 2),
+                         (2, -1, 5, 3), (2, 1, 3, 0), (1, 1, 0, 2)],
+    "pairs-and-squares": [(1, 1, 1, 1), (2, 1, 1, 2), (2, 1, 1, 4), (2, 1, 1, 3), (2, 1, 1, 3)],
+    "rational": [(1, 1, F(1, 3), 0), (2, -1, F(-2, 5), 1), (1, 1, F(1, 3), 0), (3, 1, F(7, 2), 2)],
+}
+
+
+@pytest.mark.parametrize("emax", [0, 1, 9])
+@pytest.mark.parametrize("name", FACTOR_LISTS)
+def test_power_sum_rows_match_the_sweep(name, emax):
+    factors = FACTOR_LISTS[name]
+    rows = qp_power_sum_rows(factors, 8, emax)
+    assert rows == sweep_rows(factors, 8, emax)
+    if name != "rational":
+        assert all(all_ints(row) for row in rows)
+    # the order and grouping of the factors does not matter
+    assert qp_power_sum_rows(factors[::-1], 8, emax) == rows
+
+
+def test_power_sum_rows_small_products():
+    # (1 - c z^2)^(-1): c^k at z^(2k)
+    assert qp_power_sum_rows([(2, 1, F(1, 3), 0)], 6, 0) == [
+        [1], [], [F(1, 3)], [], [F(1, 9)], [], [F(1, 27)]]
+    # (1 + z q)(1 + z q^2) = 1 + z (q + q^2) + z^2 q^3, and nothing past z^2
+    assert qp_power_sum_rows([(1, -1, 1, 1), (1, -1, 1, 2)], 5, 6) == [
+        [1], [0, 1, 1], [0, 0, 0, 1], [], [], []]
+    # a binomial and the geometric factor with -c cancel
+    assert qp_power_sum_rows([(3, -1, F(2, 5), 1), (3, 1, F(-2, 5), 1)], 7, 4) == [
+        [1]] + [[]] * 7
+    assert qp_power_sum_rows([], 3, 2) == [[1], [], [], []]
+    assert qp_power_sum_rows([(1, 1, 1, 1)], 0, 0) == [[1]]
+
+
+def test_power_sum_rows_rejects_bad_factors():
+    for bad in ((0, 1, 1, 1), (1, 2, 1, 1), (1, 0, 1, 1), (1, 1, 1, -1)):
+        with pytest.raises(ValueError):
+            qp_power_sum_rows([bad], 3, 3)
     with pytest.raises(ValueError):
-        qp_mul_factor([1, 0], 1, 0, -1)
+        qp_power_sum_rows([(1, 1, 1, 1)], -1, 3)
     with pytest.raises(ValueError):
-        qp_mul_factor([1, 0], 1, 1, 2)
+        qp_power_sum_rows([(1, 1, 1, 1)], 3, -1)
 
 
-@pytest.mark.parametrize("exponents", [(1, 2, 3), (2, 2, 5, 1), (3, 0, 4)])
-def test_geometric_rows_count_multisets(exponents):
-    amax, emax = 4, 9
-    rows = qp_geometric_rows(exponents, amax, emax)
-    assert len(rows) == amax + 1 and all(len(row) == emax + 1 for row in rows)
-    for n in range(amax + 1):
-        brute = [0] * (emax + 1)
-        for pick in combinations_with_replacement(range(len(exponents)), n):
-            total = sum(exponents[i] for i in pick)
-            if total <= emax:
-                brute[total] += 1
-        assert rows[n] == brute
+@pytest.mark.parametrize("qmax", [1, 2, 7, 20, 41, 80])
+def test_equivalence_tables_match_the_sweep(qmax):
+    # the factor lists are rebuilt here from the levels, as the sweep took
+    # them: one factor per level copy, and one per pair of eq2 levels
+    eq1 = build_spectrum("eq1", qmax)
+    bose = [(1, 1, 1, (e - 1) // 2) for e, d in eq1.levels for _ in range(d)]
+    assert gpf_bose_biseries(eq1, qmax).coeffs == tuple(
+        tuple(row) + (0,) * (qmax + 1 - len(row)) for row in sweep_rows(bose, qmax, qmax))
+    s = [(e - 1) // 2 for e, _ in build_spectrum("eq2", qmax).levels]
+    pairs = [(1, 1, 1, a + b) for i, a in enumerate(s) for b in s[i + 1 :]]
+    assert gpf_evencols_biseries(build_spectrum("eq2", qmax), qmax).coeffs == tuple(
+        tuple(row) + (0,) * (qmax + 1 - len(row)) for row in sweep_rows(pairs, qmax, qmax))
 
 
 def test_add_shifted_truncates_in_place():

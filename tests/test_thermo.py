@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import math
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import schurgas.qpoly
+import schurgas.thermo
+from schurgas.cli import run
 from schurgas.equivalence import SpectrumSpec, build_spectrum
-from schurgas.statistics import BOSE, FERMI, parse_kind
+from schurgas.partitions import conjugate
+from schurgas.schur import schur_qpoly_sums
+from schurgas.statistics import BOSE, FERMI, admitted_partitions, parse_kind
 from schurgas.thermo import (
     BracketFailure,
     ThermoParams,
@@ -197,3 +204,164 @@ def test_weight_polys_digest():
         polys = tuple(tuple(p) for p in dense(_weight_polys(parse_kind(kind), exps, nmax)))
         h.update((repr(key) + repr(polys) + "\n").encode())
     assert h.hexdigest() == DIGEST
+
+
+@pytest.mark.parametrize("kind", ["bose", "fermi", "hst", "even-rows", "even-cols"])
+@pytest.mark.parametrize("family,qmax,nmax", [("eq1", 3, 12), ("eq1", 4, 8), ("eq2", 4, 10),
+                                              ("eq2", 2, 12)])
+def test_product_weights_match_the_engine(kind, family, qmax, nmax):
+    # the five product kinds build from their closed product; the
+    # branching-rule engine over the admitted shapes must give the same rows
+    exps = build_spectrum(family, qmax).qpoly_exponents()
+    groups = [admitted_partitions(parse_kind(kind), n, len(exps)) for n in range(nmax + 1)]
+    engine = schur_qpoly_sums(exps, nmax * max(exps), groups)
+    assert dense(_weight_polys(parse_kind(kind), exps, nmax)) == engine
+
+
+def principal_schur(lam, m):
+    """s_lam(q, q^3, ..., q^(2m-1)) = q^|lam| t^n(lam) prod_u (1 - t^(m + c(u)))
+    / (1 - t^h(u)) with t = q^2 (Macdonald I.3 ex. 1), one shape at a time:
+    no recursion and no tableaux."""
+    if len(lam) > m:
+        return []
+    cols = conjugate(lam)
+    cells = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+    poly = [0] * (sum(lam) + 2 * sum(i * part for i, part in enumerate(lam))) + [1]
+    for i, j in cells:  # numerator factors 1 - q^(2(m + j - i))
+        a = 2 * (m + j - i)
+        poly = [c - (poly[k - a] if k >= a else 0) for k, c in enumerate(poly + [0] * a)]
+    for i, j in cells:  # exact division by 1 - q^(2 h(u)), an upward sweep
+        h = lam[i] - j + cols[j] - i - 1
+        for k in range(2 * h, len(poly)):
+            poly[k] += poly[k - 2 * h]
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+@pytest.mark.parametrize("kind,qmax,nmax", [
+    ("parafermi:2", 4, 8), ("parafermi:2", 3, 10), ("parafermi:3", 3, 8), ("parafermi:3", 2, 10),
+    ("parabose:2", 3, 8), ("parabose:2", 4, 6), ("parabose:3", 2, 8), ("parabose:3", 3, 7),
+    ("pq:3:3", 3, 8), ("pq:3:3", 4, 7), ("pq:4:4", 3, 9), ("pq:4:4", 2, 10),
+])
+def test_engine_weights_match_the_principal_specialisation(kind, qmax, nmax):
+    # eq2's exponents are 1, 3, ..., 2M - 1
+    exps = build_spectrum("eq2", qmax).qpoly_exponents()
+    m = len(exps)
+    for n, got in enumerate(dense(_weight_polys(parse_kind(kind), exps, nmax))):
+        want = [0] * (n * max(exps) + 1)
+        for lam in admitted_partitions(parse_kind(kind), n, m):
+            for k, c in enumerate(principal_schur(lam, m)):
+                want[k] += c
+        while want and not want[-1]:
+            want.pop()
+        assert got == want, (kind, n)
+
+
+def reference_solve_mu(kind, spec, beta_hw, target_mean_n, nmax):
+    """solve_mu as it was when every step called evaluate: same hunt, same
+    bisection, same messages."""
+    tol = 1e-8 * max(1.0, target_mean_n)
+    WALL, OVER = "wall", "overflow"
+
+    def mean_at(mu):
+        try:
+            return evaluate(kind, spec, ThermoParams(beta_hw, mu, nmax)).mean_n
+        except TruncationTail as exc:
+            return OVER if exc.overflow else WALL
+
+    start = spec.levels[0][0] / 2 - 50.0 / beta_hw
+    f0 = mean_at(start)
+    if not isinstance(f0, float):
+        raise TruncationTail("truncation fails even in the dilute limit; increase nmax")
+    lo = hi = start
+    f_lo = f_hi = f0
+    step = 1.0 / beta_hw
+    hunts = 0
+    while f_hi == OVER or (isinstance(f_hi, float) and f_hi < target_mean_n):
+        hunts += 1
+        if hunts > 200:
+            raise BracketFailure(
+                f"no bracket after 200 upward steps (last mean {f_lo}); "
+                f"target {target_mean_n} looks unreachable (saturation?)"
+            )
+        if isinstance(f_hi, float):
+            lo, f_lo = hi, f_hi
+        hi += step
+        step *= 2.0
+        f_hi = mean_at(hi)
+        if isinstance(f_hi, float) and f_hi < f_lo - 1e-9 * max(1.0, abs(f_lo)):
+            raise BracketFailure(f"mean number fell from {f_lo} to {f_hi} while raising mu")
+    while f_lo > target_mean_n:
+        hunts += 1
+        if hunts > 200:
+            raise BracketFailure(f"no lower bracket for target {target_mean_n}")
+        hi, f_hi = lo, f_lo
+        lo -= step
+        step *= 2.0
+        f_lo = mean_at(lo)
+        if not isinstance(f_lo, float):
+            raise TruncationTail("truncation fails while lowering mu; increase nmax")
+    wall_hit = not isinstance(f_hi, float)
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        f_mid = mean_at(mid)
+        if not isinstance(f_mid, float):
+            wall_hit = True
+            hi = mid
+        elif abs(f_mid - target_mean_n) <= tol:
+            return mid
+        elif f_mid < target_mean_n:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
+            break
+    if wall_hit:
+        raise TruncationTail(f"target {target_mean_n} lies beyond the truncation-feasible region")
+    raise BracketFailure(f"bisection stalled between {lo} and {hi}")
+
+
+@pytest.mark.parametrize("kind,spec,beta,target,nmax", [
+    ("bose", SINGLE, 1.0, 1.0, 64),
+    ("bose", SINGLE, 1.0, 1e-25, 16),
+    ("fermi", build_spectrum("eq2", 7), 0.5, 4.0, 32),
+    ("parafermi:2", build_spectrum("eq2", 6), 1.25, 2.0, 28),
+    ("hst", build_spectrum("eq1", 2), 1.0, 0.15, 14),
+    ("even-cols", build_spectrum("eq2", 4), 1.5, 0.2, 16),
+    ("bose", SINGLE, 1.0, 50.0, 4),  # the tail wall
+    ("fermi", build_spectrum("eq2", 7), 1.0, 9.0, 32),  # saturation
+])
+def test_solve_mu_matches_a_bisection_on_evaluate(kind, spec, beta, target, nmax):
+    args = (parse_kind(kind), spec, beta, target, nmax)
+    try:
+        want = reference_solve_mu(*args)
+    except (TruncationTail, BracketFailure) as exc:
+        with pytest.raises(type(exc)) as info:
+            solve_mu(*args)
+        assert str(info.value) == str(exc)
+    else:
+        assert solve_mu(*args).hex() == want.hex()
+
+
+def test_target_solve_computes_the_energy_only_at_the_reported_point(monkeypatch):
+    calls = []
+    weighted = schurgas.qpoly.qp_weighted_eval_float
+
+    def counted(*args):
+        calls.append(args)
+        return weighted(*args)
+
+    for module in (schurgas.qpoly, schurgas.thermo):
+        monkeypatch.setattr(module, "qp_weighted_eval_float", counted)
+    argv = ["thermo", "--kind", "hst", "--spectrum", "eq2", "--beta", "1.25", "--qmax", "3",
+            "--nmax", "14", "--target-n", "0.15"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    solved = len(calls)
+    mu = float(out.getvalue().splitlines()[0].split(" = ")[1])
+    calls.clear()
+    evaluate(parse_kind("hst"), build_spectrum("eq2", 3), ThermoParams(1.25, mu, 14))
+    # one pass per sector with weight, all at the reported mu
+    assert solved == len(calls) > 0
