@@ -96,8 +96,8 @@ def product_factors(
     pairs = [(2, 1, ci * cj, ti + tj)
              for k, (ci, ti) in enumerate(monomials) for cj, tj in monomials[k + 1 :]]
     squares = [(2, 1, c * c, 2 * t) for c, t in monomials]
-    extra = {"hst": singles + pairs, "even-rows": squares + pairs, "even-cols": pairs}
-    return extra.get(fam, singles)
+    by_family = {"hst": singles + pairs, "even-rows": squares + pairs, "even-cols": pairs}
+    return by_family.get(fam, singles)
 
 
 def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
