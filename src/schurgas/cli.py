@@ -20,13 +20,16 @@ from typing import Any, Iterable, NamedTuple
 from .canonical import z_canonical
 from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
-from .schur import DistinctnessViolation, schur_bialternant, schur_tableau
+from .schur import DistinctnessViolation, schur_bialternant, schur_tableau, tableau_count
 from .series import DivisionInconsistency, gpf_definition, verify_identity
 from .statistics import UnsupportedKind, admitted_partitions, kind_name, parse_kind
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
+# `schur` enumerates tableaux at about 7 us each and recurses once per box
+SCHUR_MAX_TABLEAUX = 10 ** 6
+SCHUR_MAX_BOXES = 500
 
 
 def frac_str(x: Fraction) -> str:
@@ -120,6 +123,13 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
 
 def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
+    k = sum(1 for x in args.point if x)  # the tableau sum skips zero coordinates
+    if sum(shape) > SCHUR_MAX_BOXES:
+        raise ValueError(f"shape {args.shape} has more than {SCHUR_MAX_BOXES} boxes")
+    count = tableau_count(shape, k)
+    if count > SCHUR_MAX_TABLEAUX:
+        raise ValueError(f"shape {args.shape} has {count} tableaux on {k} nonzero coordinates, "
+                         f"more than {SCHUR_MAX_TABLEAUX}")
     tab = schur_tableau(shape, args.point)
     try:
         alt: Fraction | None = schur_bialternant(shape, args.point)

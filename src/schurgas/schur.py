@@ -2,8 +2,9 @@
 functions.
 
 One engine sums s_lam over groups of shapes by the branching rule
-(Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), with one
-memo keyed by (levels used, shape) for every shape of every group. Two thin
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
+variable and one box at a time: a bottom-up sweep over levels that keeps
+only the previous level's values and the current level's table. Two thin
 fronts supply its arithmetic: `schur_int_sums` at an integer point (for
 `z_canonical_sums`, at the D x of `clear_denominators`), and
 `schur_qpoly_sums` at x_i = q^(e_i), on integer q-polynomials cut at a
@@ -11,19 +12,18 @@ degree cap (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
-coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
-det(x_i^(M - j)), which needs pairwise-distinct coordinates."""
+coordinates are fine; `tableau_count` says how many there are);
+`schur_bialternant` is det(x_i^(lam_j + M - j)) / det(x_i^(M - j)), which
+needs pairwise-distinct coordinates."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import product
 from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add, qp_add_shifted, qp_det
+from .qpoly import QPoly, qp_add_shifted, qp_det, qp_normalize
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -87,6 +87,15 @@ def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
 
     fill(0, Fraction(1))
     return total
+
+
+def tableau_count(lam: Partition, k: int) -> int:
+    """s_lam(1^k), the number of semistandard tableaux of shape lam with
+    entries in 1..k, by the hook-content formula prod_u (k + c(u)) / h(u)
+    (Macdonald I.3 ex. 4); 0 when lam has more than k parts."""
+    cols = conjugate(lam)
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
+    return prod(k + c - r for r, c in cells) // prod(lam[r] - c + cols[c] - r - 1 for r, c in cells)
 
 
 def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
@@ -185,110 +194,89 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], one, start, add) -> list[list]:
+def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], zero, one, step) -> list[list]:
     """Per group, the values of its shapes with at most m parts, by the
-    branching rule: s_lam on j variables sums x_j^k s_mu on j - 1 over the
-    horizontal strips lam/mu of size k. The front's `one` is s_(), start(j,
-    lam) gives an empty accumulator and the largest k kept (no larger strip's
-    mu is visited), and add(acc, j, k, s_mu) adds a term. The memo is local."""
-    memo: dict[tuple[int, Partition], object] = {}
-
-    def level(j: int, shape: Partition):
-        if not shape:
-            return one
-        key = (j, shape)
-        value = memo.get(key)
-        if value is None:
-            w = sum(shape)
-            # mu_i ranges over [lam_(i+1), lam_i]; mu may keep at most j - 1
-            # parts, so its last slot exists only when lam has fewer than j.
-            slots = [range(shape[i + 1], shape[i] + 1) for i in range(len(shape) - 1)]
-            if len(shape) < j:
-                slots.append(range(shape[-1] + 1))
-            value, reach = start(j, shape)
-            for mu in product(*slots):
-                k = w - sum(mu)
-                if k <= reach:
-                    if mu and not mu[-1]:
-                        mu = mu[:-1]
-                    value = add(value, j, k, level(j - 1, mu))
-            memo[key] = value
-        return value
-
-    values = [[level(m, tuple(lam)) for lam in group if len(lam) <= m] for group in groups]
-    # level refers to itself through its closure, so the memo would wait for
-    # the cycle collector; free it now
-    memo.clear()
-    return values
+    branching rule taken one variable and one box at a time (the row
+    recursion of Demmel and Koev, Math. Comp. 75 (2006)). G(lam, i) sums
+    x_j^|lam/mu| s_mu(x_1..x_(j-1)) over the horizontal strips lam/mu that
+    keep rows 0..i-1 whole, so G(lam, len(lam)) is level j - 1's value of
+    lam, G(lam, i) = G(lam, i + 1) + x_j G(lam - e_i, i) when lam_i >
+    lam_(i+1) (G(lam, i + 1) otherwise), and s_lam(x_1..x_j) = G(lam, 0).
+    Level j sweeps the downward closure of the groups' shapes, smallest
+    first, holding only level j - 1's values and its own G table. The front
+    gives `zero` (s of a shape longer than its variables), `one` (s_()) and
+    step(j, base, sub), a new value base + x_j sub; values are shared, so
+    step never changes its arguments."""
+    tops = [[tuple(lam) for lam in group if len(lam) <= m] for group in groups]
+    subs: dict[Partition, list] = {}
+    todo = [lam for group in tops for lam in group]
+    while todo:
+        lam = todo.pop()
+        if lam not in subs:
+            # per row i, lam - e_i, or None when row i has no removable box
+            subs[lam] = [None if i + 1 < len(lam) and lam[i + 1] == part
+                         else lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
+                         for i, part in enumerate(lam)]
+            todo += [sub for sub in subs[lam] if sub is not None]
+    order = sorted(subs, key=sum)
+    values = {(): one}
+    for j in range(1, m + 1):
+        table: dict[Partition, list] = {}
+        for lam in order:
+            if len(lam) <= j:
+                g = [values.get(lam, zero)] * (len(lam) + 1)
+                for i in range(len(lam) - 1, -1, -1):
+                    sub = subs[lam][i]
+                    g[i] = g[i + 1] if sub is None else step(j, g[i + 1], table[sub][i])
+                table[lam] = g
+        values = {lam: g[0] for lam, g in table.items()}
+    return [[values[lam] for lam in group] for group in tops]
 
 
 def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> list[int]:
-    """For each group of shapes, the sum of s_lam at the integer point ys,
-    adding y_j^k s_mu per strip of size k. A shape with more parts than
-    there are coordinates contributes 0; an empty group sums to 0."""
+    """For each group of shapes, the sum of s_lam at the integer point ys.
+    A shape with more parts than there are coordinates contributes 0; an
+    empty group sums to 0."""
 
-    def start(j, shape):
-        return 0, (sum(shape) if ys[j - 1] else 0)  # at y_j = 0 only k = 0 counts
+    def step(j, base, sub):
+        return base + ys[j - 1] * sub
 
-    def add(acc, j, k, sub):
-        return acc + ys[j - 1] ** k * sub
-
-    return [sum(values) for values in _branching_sums(len(ys), groups, 1, start, add)]
+    return [sum(values) for values in _branching_sums(len(ys), groups, 0, 1, step)]
 
 
 def schur_qpoly_sums(
     exponents: Sequence[int], emax: int, groups: Iterable[Iterable[Partition]]
 ) -> list[QPoly]:
-    """For each group of shapes, the sum of s_lam at x_i = q^(e_i) over the
-    group, as an integer coefficient list truncated at degree emax, adding
-    q^(e_j k) s_mu per strip of size k. A term with e_j k > emax is dropped
-    without visiting its sub-shape; each memo entry is as long as its
-    polynomial's degree.
-
-    Args:
-        exponents: nonnegative integers e_i, one per variable.
-        emax: highest power of q to keep (>= 0).
-        groups: iterables of shapes; a shape with more parts than there are
-            exponents contributes zero.
-
-    Returns:
-        One normalized coefficient list per group; the zero polynomial is [].
-        All coefficients are nonnegative (they count tableaux by content
-        energy).
-    """
+    """For each group of shapes, the sum of s_lam at x_i = q^(e_i) (the e_i
+    nonnegative integers) as an integer coefficient list cut at degree
+    emax >= 0 and normalized, so the zero polynomial is []. A shape with
+    more parts than there are exponents contributes zero. Each step makes a
+    new list no longer than emax + 1 and skips a shift past emax; the group
+    sums add in place. All coefficients are nonnegative (they count
+    tableaux by content energy)."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
     exps = tuple(exponents)
-    # s_lam on the first j variables has degree sum_i lam_i * desc[j][i], the
-    # exponents taken largest first: its leading monomial, and no coefficient
-    # is negative to cancel it. An entry cut at emax may end in zeros; the
-    # group sums normalize.
-    desc = [sorted(exps[:j], reverse=True) for j in range(len(exps) + 1)]
 
-    def start(j, shape):
-        top = min(sum(p * e for p, e in zip(shape, desc[j])), emax)
+    def step(j, base, sub):
         e = exps[j - 1]
-        return [0] * (top + 1), (top // e if e else sum(shape))
+        end = min(emax + 1, e + len(sub))
+        if end <= e:  # sub is zero, or all of it lies past emax
+            return base
+        out = base + [0] * (end - len(base))
+        qp_add_shifted(out, sub, e, emax)
+        return out
 
-    def add(acc, j, k, sub):
-        qp_add_shifted(acc, sub, exps[j - 1] * k, len(acc) - 1)
-        return acc
-
-    values = _branching_sums(len(exps), groups, [1], start, add)
-    return [reduce(qp_add, polys, []) for polys in values]
+    sums = []
+    for polys in _branching_sums(len(exps), groups, [], [1], step):
+        acc = [0] * max(map(len, polys), default=0)
+        for poly in polys:
+            qp_add_shifted(acc, poly, 0, emax)
+        sums.append(qp_normalize(acc))
+    return sums
 
 
 def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:
-    """s_lam at the monomial point x_i = q^(e_i), as an integer coefficient
-    list in q truncated at degree emax: schur_qpoly_sums with one group
-    holding one shape.
-
-    Args:
-        lam: shape to evaluate.
-        exponents: nonnegative integers e_i, one per variable.
-        emax: highest power of q to keep (>= 0).
-
-    Returns:
-        Coefficients [c_0, ..., c_d], d <= emax; the zero polynomial is [].
-    """
+    """s_lam at x_i = q^(e_i), cut at degree emax: schur_qpoly_sums with one
+    group holding one shape. The zero polynomial is []."""
     return schur_qpoly_sums(exponents, emax, [[lam]])[0]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,32 @@ def test_schur_degenerate_point(capsys):
     blob = json.loads(out)
     assert blob["tableau"] == "16/1"
     assert blob["bialternant"] is None
+
+
+def test_schur_refuses_past_its_envelope(capsys, monkeypatch):
+    # the hook-content count decides before any tableau is enumerated
+    def enumerate_nothing(*args):
+        raise AssertionError("the envelope check must come first")
+
+    monkeypatch.setattr(cli, "schur_tableau", enumerate_nothing)
+    code, out, err = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "1,2,3,4,5,6"])
+    assert (code, out) == (2, "")
+    assert "16362500 tableaux on 6 nonzero coordinates" in err
+    code, out, err = invoke(capsys, ["schur", "--shape", "501", "--point", "2"])
+    assert (code, out) == (2, "")
+    assert "more than 500 boxes" in err
+
+
+def test_schur_runs_inside_its_envelope(capsys, monkeypatch):
+    # (8,5,3) has 504,504 tableaux on 6 coordinates, under the limit; the
+    # enumeration is stubbed out, since it takes seconds
+    monkeypatch.setattr(cli, "schur_tableau", lambda shape, point: Fraction(7))
+    code, out, _ = invoke(capsys, ["schur", "--shape", "8,5,3", "--point", "1,2,3,4,5,6"])
+    assert code == 0 and out.startswith("tableau = 7/1\n")
+    # zero coordinates are skipped, so (12,8,4) on three nonzero ones has 125
+    monkeypatch.undo()
+    code, out, _ = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "0,1,0,2,0,3"])
+    assert code == 0 and out.startswith("tableau = 1025733456/1\n")
 
 
 def test_zn_value(capsys):

@@ -14,6 +14,7 @@ from schurgas.schur import (
     schur_qpoly,
     schur_qpoly_sums,
     schur_tableau,
+    tableau_count,
 )
 
 
@@ -178,6 +179,16 @@ def test_kostka_monomial_expansion(lam, point):
         Fraction(0),
     )
     assert total == schur_tableau(lam, point)
+
+
+def test_tableau_count_is_s_lam_at_ones():
+    # the hook-content formula against the enumeration it stands in for
+    for n in range(6):
+        for lam in gen_partitions(n, max(n, 1)):
+            for k in range(5):
+                assert tableau_count(lam, k) == schur_tableau(lam, (1,) * k)
+    assert tableau_count((8, 5, 3), 6) == 504_504
+    assert tableau_count((12, 8, 4), 6) == 16_362_500
 
 
 def test_schur_qpoly_known_values():
