@@ -24,7 +24,7 @@ def z_canonical_sums(
     kind: StatisticsKind, point: Sequence[Rational], ns: Sequence[int]
 ) -> list[Fraction]:
     """Z_n for each n in ns, from one schur_int_sums call with a group of
-    admitted shapes per n, so every n shares one memo. The sums run on ints
+    admitted shapes per n, so every n shares one sweep. The sums run on ints
     at the point D x of clear_denominators; Z_n is its group's sum over D^n."""
     xs = as_point(point)
     scale, ys = clear_denominators(xs)

@@ -66,7 +66,7 @@ def series_mul(a: FugacitySeries, b: FugacitySeries) -> FugacitySeries:
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """The grand series straight from its definition: coefficient of z^N is
     the canonical Z_N. Available for every statistics. All N = 0..nmax come
-    from one z_canonical_sums call, so they share one branching-rule memo."""
+    from one z_canonical_sums call, so they share one branching-rule sweep."""
     return FugacitySeries(nmax, tuple(z_canonical_sums(kind, point, range(nmax + 1))))
 
 

@@ -79,7 +79,7 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     emax = nmax * max(exponents)
     if kind.family in PRODUCT_FAMILIES:  # one table from the closed product
         polys = qp_power_sum_rows(product_factors(kind, [(1, e) for e in exponents]), nmax, emax)
-    else:  # every N shares one branching-rule memo
+    else:  # every N shares one branching-rule sweep
         groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
         polys = schur_qpoly_sums(exponents, emax, groups)
     lows = [next((t for t, c in enumerate(poly) if c), 0) for poly in polys]

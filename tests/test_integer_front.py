@@ -67,7 +67,7 @@ def test_z_canonical_matches_tableau_sum(kind, point, n):
 @given(point=points, nmax=st.integers(0, 6))
 @example(point=(F(1, 2), F(-2, 3), F(3, 7)), nmax=6)
 def test_gpf_definition_coefficients_are_z_canonical(kind, point, nmax):
-    # one call shares its memo across every N; each coefficient must still
+    # one call shares its sweep across every N; each coefficient must still
     # be the N it stands for, over its own power of D
     series = gpf_definition(kind, point, nmax)
     assert series.coeffs == tuple(z_canonical(kind, point, n) for n in range(nmax + 1))
@@ -76,7 +76,7 @@ def test_gpf_definition_coefficients_are_z_canonical(kind, point, nmax):
 @DERANDOMIZED
 @given(ys=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
 def test_int_sums_per_group(ys):
-    # groups of mixed weights share one memo; shapes longer than the point
+    # groups of mixed weights share one sweep; shapes longer than the point
     # contribute 0 and the empty group sums to 0
     groups = [gen_partitions(n, max(n, 1)) for n in range(6)] + [[(2, 1), (1, 1, 1, 1, 1)], []]
     sums = schur_int_sums(ys, groups)

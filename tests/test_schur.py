@@ -222,7 +222,7 @@ def test_schur_qpoly_coefficients_nonnegative(lam, exps):
 @settings(max_examples=30)
 @given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=4), emax=st.integers(0, 14))
 def test_schur_qpoly_sums_per_group(exps, emax):
-    # groups share one memo: every group sum must equal the sum over its
+    # groups share one sweep: every group sum must equal the sum over its
     # shapes of the tableau substitution, truncated at emax
     q = Fraction(1, 3)
     point = tuple(q**e for e in exps)
