@@ -29,6 +29,7 @@ ARGV = [
     ["schur", "--shape", "2,1", "--point", "2,3"],
     ["schur", "--shape", "2,1", "--point", "2,2"],
     ["schur", "--shape", "2,1", "--point", "0,1,2"],
+    ["schur", "--shape", "5,3,1", "--point=1/2,-2/3,3,5/4,7"],
     ["zn", "--kind", "hst", "--point", "2,3", "--n", "3"],
     ["zn", "--kind", "parafermi:2", "--point", "0,1,2", "--n", "3"],
     ["gpf", "--kind", "even-cols", "--point", "1/2,1/3", "--nmax", "6"],
@@ -37,6 +38,7 @@ ARGV = [
     ["verify", "--kind", "parafermi:2", "--point=1/2,-1/3,3", "--nmax", "5"],
     ["verify", "--kind", "even-rows", "--point", "0,1,2", "--nmax", "4"],
     ["verify", "--kind", "parafermi:1", "--point", "0,1,2", "--nmax", "4"],
+    ["verify", "--kind", "parafermi:3", "--point=1/2,-2/3,3,5/4,7", "--nmax", "6"],
     ["equivalence", "--qmax", "8"],
     ["thermo", "--kind", "bose", "--spectrum", "eq2", "--beta", "1.0",
      "--target-n", "0.25", "--nmax", "32"],
