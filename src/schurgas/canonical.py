@@ -1,16 +1,14 @@
 """Canonical N-particle partition functions: restricted Schur sums over the
-admitted partitions, plus elementary occupation-number oracles for the two
-classical statistics."""
+admitted partitions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .qpoly import QPoly
 from .schur import Rational, as_point, clear_denominators, schur_int_sums, schur_qpoly_sums
-from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions
+from .statistics import StatisticsKind, admitted_partitions
 
 
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
@@ -30,29 +28,6 @@ def z_canonical_sums(
     scale, ys = clear_denominators(xs)
     sums = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs)) for n in ns])
     return [Fraction(total, scale ** n) for n, total in zip(ns, sums)]
-
-
-def z_occupation_oracle(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
-    """Textbook occupation-number sum, independent of any Schur machinery.
-
-    Fermi: over subsets of n distinct levels. Bose: over multisets of n
-    levels. Only these two statistics have an elementary occupation rule;
-    anything else raises UnsupportedKind.
-    """
-    xs = as_point(point)
-    if kind.family == "fermi":
-        picks = combinations(range(len(xs)), n)
-    elif kind.family == "bose":
-        picks = combinations_with_replacement(range(len(xs)), n)
-    else:
-        raise UnsupportedKind(f"no occupation oracle for {kind}")
-    total = Fraction(0)
-    for pick in picks:
-        term = Fraction(1)
-        for i in pick:
-            term *= xs[i]
-        total += term
-    return total
 
 
 def z_canonical_qpoly(

@@ -15,21 +15,27 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Iterable, NamedTuple
 
 from .canonical import z_canonical
 from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
-from .schur import DistinctnessViolation, schur_bialternant, schur_tableau, tableau_count
+from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
 from .series import DivisionInconsistency, gpf_definition, verify_identity
 from .statistics import UnsupportedKind, admitted_partitions, kind_name, parse_kind
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
-# `schur` enumerates tableaux at about 7 us each and recurses once per box
-SCHUR_MAX_TABLEAUX = 10 ** 6
+# The `schur` envelope, checked before any work. The engine's table is M
+# levels of the shapes inside lam, 3-12 us an entry. The bialternant makes M^3
+# Bareiss updates with quadratic division on up to M (lam_1 + M) b bits, b for
+# a coordinate: about 2e-14 s per unit of M^5 ((lam_1 + M) b)^2.
 SCHUR_MAX_BOXES = 500
+SCHUR_MAX_TABLE = 200_000
+SCHUR_MAX_COORDS = 32
+SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 
 
 def frac_str(x: Fraction) -> str:
@@ -121,16 +127,33 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
     )
 
 
+def _subshape_count(lam: tuple[int, ...]) -> int:
+    """Number of partitions mu inside lam (mu_i <= lam_i), () included:
+    cum[v] counts the choices of the rows below whose top part is <= v."""
+    cum = [1]
+    for part in reversed(lam):
+        cum = list(accumulate(cum[min(v, len(cum) - 1)] for v in range(part + 1)))
+    return cum[-1]
+
+
 def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
-    k = sum(1 for x in args.point if x)  # the tableau sum skips zero coordinates
+    m = len(args.point)
     if sum(shape) > SCHUR_MAX_BOXES:
         raise ValueError(f"shape {args.shape} has more than {SCHUR_MAX_BOXES} boxes")
-    count = tableau_count(shape, k)
-    if count > SCHUR_MAX_TABLEAUX:
-        raise ValueError(f"shape {args.shape} has {count} tableaux on {k} nonzero coordinates, "
-                         f"more than {SCHUR_MAX_TABLEAUX}")
-    tab = schur_tableau(shape, args.point)
+    if m > SCHUR_MAX_COORDS:
+        raise ValueError(f"point has {m} coordinates, more than {SCHUR_MAX_COORDS}")
+    table = m * _subshape_count(shape) if len(shape) <= m else 0
+    if table > SCHUR_MAX_TABLE:
+        raise ValueError(f"shape {args.shape} on {m} coordinates needs a table of {table} "
+                         f"entries, more than {SCHUR_MAX_TABLE}")
+    bits = max(abs(x.numerator).bit_length() + x.denominator.bit_length() for x in args.point)
+    work = m ** 5 * (max(shape, default=0) + m) ** 2 * bits ** 2
+    if work > SCHUR_MAX_BIALTERNANT:
+        raise ValueError(f"the bialternant of shape {args.shape} on this point needs {work} "
+                         f"units of work, more than {SCHUR_MAX_BIALTERNANT}")
+    scale, ys = clear_denominators(args.point)
+    tab = Fraction(schur_int_sums(ys, [[shape]])[0], scale ** sum(shape))
     try:
         alt: Fraction | None = schur_bialternant(shape, args.point)
     except DistinctnessViolation:

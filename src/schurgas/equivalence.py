@@ -29,11 +29,12 @@ from .qpoly import Factor, qp_power_sum_rows
 def eq1_degeneracy(m: int) -> int:
     """Number of (n, k) pairs of nonnegative integers with 2n + k = m, which
     is the degeneracy of the planar-oscillator level at energy (m + 3/2)hw.
-    Counted by direct enumeration; the closed form floor(m/2) + 1 is kept
-    out of this function so tests can pit the two against each other."""
+    Counted by direct enumeration of n, with k = m - 2n; the closed form
+    floor(m/2) + 1 is kept out of this function so tests can pit the two
+    against each other."""
     if m < 0:
         raise ValueError("level index must be nonnegative")
-    return sum(1 for n in range(m + 1) for k in range(m + 1) if 2 * n + k == m)
+    return sum(1 for n in range(m + 1) if m - 2 * n >= 0)
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,9 @@ class EquivalenceReport:
 
 
 def _pair_count(t: int) -> int:
-    # independent of eq1_degeneracy on purpose: the audit compares the two
-    return sum(1 for a in range(t + 1) for b in range(t + 1) if a < b and a + b == t)
+    # independent of eq1_degeneracy on purpose: the audit compares the two.
+    # Pairs a < b with a + b = t, enumerated by a with b = t - a.
+    return sum(1 for a in range(t + 1) if a < t - a)
 
 
 def check_equivalence(qmax: int) -> EquivalenceReport:

@@ -96,6 +96,23 @@ def qp_divexact(a: QPoly, b: QPoly) -> QPoly:
     return qp_normalize(quot)
 
 
+def qp_divseries(a: QPoly, b: QPoly, emax: int) -> QPoly:
+    """Quotient a / b as a power series cut at emax, by division from the
+    low end: b needs a nonzero constant term (ZeroDivisionError otherwise).
+    On integers each coefficient must divide exactly (ArithmeticError
+    otherwise), which holds when a / b is an integer series."""
+    if not b or not b[0]:
+        raise ZeroDivisionError("series division needs a nonzero constant term")
+    rem = list(a[: emax + 1])
+    rem += [0] * (emax + 1 - len(rem))
+    for k in range(emax + 1):
+        c = rem[k] = _divide(rem[k], b[0])
+        if c:
+            for i, cb in enumerate(b[1 : len(rem) - k], k + 1):
+                rem[i] -= c * cb
+    return qp_normalize(rem)
+
+
 Factor = tuple[int, int, int | Fraction, int]
 
 
@@ -137,23 +154,34 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[Q
     return [[0] * low + prev for low, prev in rows]
 
 
-def qp_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
+def qp_det(matrix: Sequence[Sequence[QPoly]], emax: int | None = None) -> QPoly:
     """Determinant of a square matrix of polynomials by fraction-free
     (Bareiss) elimination, normalized; a singular matrix gives [].
 
     Entries are normalized on entry, so [0] works as zero. Every division
     is exact (Bareiss, Math. Comp. 22, 1968), so integer entries give an
     integer determinant. A constant matrix is one of degree-0 entries.
+
+    With emax, entries are power series cut at emax and the result is the
+    determinant cut there. Each pivot then needs a nonzero constant term,
+    so that qp_divseries can divide by it; when a column has none (the
+    constant-term matrix is singular) ZeroDivisionError is raised.
     """
     n = len(matrix)
     if n == 0:
         return [1]
-    m = [[qp_normalize(e) for e in row] for row in matrix]
+    m = [[qp_normalize(e if emax is None else e[: emax + 1]) for e in row] for row in matrix]
+
+    def usable(entry):
+        return entry and (emax is None or entry[0])
+
     sign = 1
     prev: QPoly = [1]
     for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if not usable(m[k][k]):
+            swap = next((i for i in range(k + 1, n) if usable(m[i][k])), None)
+            if swap is None and emax is not None:
+                raise ZeroDivisionError(f"no pivot with a nonzero constant term in column {k}")
             if swap is None:
                 return []
             m[k], m[swap] = m[swap], m[k]
@@ -161,8 +189,9 @@ def qp_det(matrix: Sequence[Sequence[QPoly]]) -> QPoly:
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                minor = qp_add(qp_mul(pivot, m[i][j]), [-c for c in qp_mul(m[i][k], m[k][j])])
-                m[i][j] = qp_divexact(minor, prev)
+                minor = qp_add(qp_mul(pivot, m[i][j], emax),
+                               [-c for c in qp_mul(m[i][k], m[k][j], emax)])
+                m[i][j] = qp_divexact(minor, prev) if emax is None else qp_divseries(minor, prev, emax)
         prev = pivot
     det = m[n - 1][n - 1]
     return [-c for c in det] if sign < 0 else det

@@ -12,7 +12,7 @@ degree cap (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
-coordinates are fine; `tableau_count` says how many there are);
+coordinates are fine);
 `schur_bialternant` is det(x_i^(lam_j + M - j)) / det(x_i^(M - j)), which
 needs pairwise-distinct coordinates."""
 
@@ -46,56 +46,59 @@ def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
+def _tableau_sum(lam: Partition, weights: Sequence[int], caps: Sequence[int]) -> int:
+    """Sum over the semistandard tableaux of shape lam with entries in
+    1..len(weights), entry v used at most caps[v-1] times, of the product of
+    weights[v-1] over the cells. The cells are filled in reading order from
+    an explicit stack, so the size of lam sets no recursion depth."""
+    m = len(weights)
+    cols = conjugate(lam)  # cols[c] = height of column c+1
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
+    left = list(caps)
+    tab = [[0] * part for part in lam]
+    acc = [1] * (len(cells) + 1)  # acc[k] = product over the first k cells
+    total, k = 0, 0
+    while k >= 0:
+        if k == len(cells):
+            total += acc[k]
+            k -= 1
+            continue
+        r, c = cells[k]
+        v = tab[r][c]
+        if v:  # back at this cell: give its entry back and try the next
+            left[v - 1] += 1
+        else:  # weakly increasing along the row, strictly down the column
+            v = max(tab[r][c - 1] if c else 1, tab[r - 1][c] + 1 if r else 1) - 1
+        hi = m - (cols[c] - r - 1)  # room for the strict entries below
+        v += 1
+        while v <= hi and not left[v - 1]:
+            v += 1
+        if v > hi:
+            tab[r][c] = 0
+            k -= 1
+            continue
+        left[v - 1] -= 1
+        tab[r][c] = v
+        acc[k + 1] = acc[k] * weights[v - 1]
+        k += 1
+    return total
+
+
 def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     """Schur function s_lam at the given point, as the content sum over all
-    semistandard Young tableaux of shape lam with entries in {1..M}.
+    semistandard Young tableaux of shape lam with entries in {1..M}, on ints
+    at D x (clear_denominators) over D^|lam|; a zero coordinate's entry is
+    skipped.
 
     Returns 0 when lam has more parts than there are coordinates, and 1 for
     the empty partition.
     """
     xs = as_point(point)
-    m = len(xs)
-    if len(lam) > m:
+    if len(lam) > len(xs):
         return Fraction(0)
-    if not lam:
-        return Fraction(1)
-
-    cols = conjugate(lam)  # cols[c] = height of column c+1
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    total = Fraction(0)
-    tab = [[0] * lam[r] for r in range(len(lam))]
-
-    def fill(idx: int, acc: Fraction) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += acc
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = tab[r][c - 1]          # weakly increasing along the row
-        if r > 0:
-            lo = max(lo, tab[r - 1][c] + 1)  # strictly increasing down the column
-        hi = m - (cols[c] - r - 1)      # room for the strict entries below
-        for v in range(lo, hi + 1):
-            x = xs[v - 1]
-            if x == 0:
-                continue
-            tab[r][c] = v
-            fill(idx + 1, acc * x)
-        tab[r][c] = 0
-
-    fill(0, Fraction(1))
-    return total
-
-
-def tableau_count(lam: Partition, k: int) -> int:
-    """s_lam(1^k), the number of semistandard tableaux of shape lam with
-    entries in 1..k, by the hook-content formula prod_u (k + c(u)) / h(u)
-    (Macdonald I.3 ex. 4); 0 when lam has more than k parts."""
-    cols = conjugate(lam)
-    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r])]
-    return prod(k + c - r for r, c in cells) // prod(lam[r] - c + cols[c] - r - 1 for r, c in cells)
+    scale, ys = clear_denominators(xs)
+    total = _tableau_sum(lam, ys, [sum(lam) if y else 0 for y in ys])
+    return Fraction(total, scale ** sum(lam))
 
 
 def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
@@ -126,43 +129,11 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
 
 def kostka(shape: Partition, content: Partition) -> int:
     """Number of semistandard Young tableaux of the given shape whose entry
-    multiplicities equal `content`; 0 when the weights differ."""
-    if sum(shape) != sum(content):
+    multiplicities equal `content`; 0 when the weights differ. With equal
+    weights, capping entry v at content[v-1] uses it exactly that often."""
+    if sum(shape) != sum(content) or len(shape) > len(content):
         return 0
-    if not shape:
-        return 1
-    m = len(content)
-    if len(shape) > m:
-        return 0
-    remaining = list(content)
-    cols = conjugate(shape)
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    tab = [[0] * shape[r] for r in range(len(shape))]
-    count = 0
-
-    def fill(idx: int) -> None:
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = tab[r][c - 1]
-        if r > 0:
-            lo = max(lo, tab[r - 1][c] + 1)
-        hi = m - (cols[c] - r - 1)
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            tab[r][c] = v
-            fill(idx + 1)
-            remaining[v - 1] += 1
-        tab[r][c] = 0
-
-    fill(0)
-    return count
+    return _tableau_sum(shape, [1] * len(content), content)
 
 
 def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .canonical import z_canonical_sums
-from .qpoly import Factor, QPoly, qp_det, qp_divexact, qp_mul, qp_normalize, qp_power_sum_rows
+from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
 from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
 from .statistics import StatisticsKind, UnsupportedKind, kind_name
 
@@ -109,47 +109,47 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
 
 
 # ---------------------------------------------------------------------------
-# Parafermi determinant ratio: Bareiss determinants of z-polynomials.
-
-
-def _monomial_diff(y: int, hi: int, lo: int) -> QPoly:
-    """y^hi w^hi - y^lo w^lo as a w-polynomial (hi > lo >= 1)."""
-    poly = [0] * (hi + 1)
-    poly[hi] = y ** hi
-    poly[lo] -= y ** lo
-    return qp_normalize(poly)
+# Parafermi determinant ratio: Bareiss determinants of truncated w-series.
 
 
 def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacitySeries:
-    """Closed grand series for row-bounded (order-p) statistics, as the exact
-    ratio of two determinants with entries X_j^(2M+p+1-i) - X_j^i over
-    X_j^(2M+1-i) - X_j^i, expanded as a truncated series in z.
+    """Closed grand series for row-bounded (order-p) statistics: the ratio
+    of two determinants with entries X_j^(T-i) - X_j^i (i, j = 1..M), with
+    T = 2M+p+1 over T = 2M+1, as a series in z cut at z^nmax.
+
+    Both determinants are series mod w^(nmax+1) (qp_det with emax), never
+    expanded in full, and so is their ratio (qp_divseries). Row i of both
+    carries w^i; divided out, it leaves the constant-term matrix (-y_j^i),
+    whose determinant +-prod y_j Vandermonde(y) is the nonzero pivot needed.
 
     The point must have pairwise-distinct coordinates; a coincidence raises
-    DistinctnessViolation. If the denominator determinant vanishes
-    identically (a degenerate point that slipped through, e.g. a zero
-    coordinate), DivisionInconsistency is raised.
+    DistinctnessViolation. A zero coordinate makes both determinants vanish
+    identically (a zero column), and DivisionInconsistency is raised.
     """
     if p < 1:
         raise ValueError("order p must be positive")
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
     xs = as_point(point)
     m = len(xs)
     if len(set(xs)) != m:
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
     # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so both
-    # determinants are integer polynomials in w.
+    # determinants are integer series in w. Row i over w^i has entries
+    # y^i (y^(T-2i) w^(T-2i) - 1), and T - 2i >= 1.
     scale, ys = clear_denominators(xs)
-    num = qp_det(
-        [[_monomial_diff(ys[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
-    )
-    den = qp_det(
-        [[_monomial_diff(ys[j], 2 * m + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
-    )
-    if not den:
-        raise DivisionInconsistency("denominator determinant is identically zero")
-    # The ratio is the finite sum of w^|lam| s_lam(y) over the admitted
-    # shapes, an integer polynomial, so the division is exact on ints.
-    ratio = qp_divexact(num, den)[: nmax + 1]
+
+    def det(top: int) -> QPoly:
+        rows = [[[-y ** i] + [0] * (top - 2 * i - 1) + [y ** (top - i)] for y in ys]
+                for i in range(1, m + 1)]
+        return qp_det(rows, nmax)
+
+    try:
+        # The ratio is the finite sum of w^|lam| s_lam(y) over the admitted
+        # shapes, an integer polynomial, so the division is exact on ints.
+        ratio = qp_divseries(det(2 * m + p + 1), det(2 * m + 1), nmax)
+    except ZeroDivisionError:
+        raise DivisionInconsistency("denominator determinant is identically zero") from None
     return _series(nmax, [Fraction(c, scale ** k) for k, c in enumerate(ratio)])
 
 

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from schurgas.canonical import z_canonical, z_occupation_oracle
+from schurgas.canonical import z_canonical
 from schurgas.equivalence import build_spectrum, check_equivalence
 from schurgas.partitions import gen_partitions
 from schurgas.schur import kostka, monomial_sym, schur_bialternant, schur_tableau
@@ -28,6 +28,8 @@ from schurgas.statistics import (
     pq,
 )
 from schurgas.thermo import ThermoParams, evaluate, solve_mu
+
+from test_canonical import z_occupation_oracle
 
 POINT4 = (2, 3, 5, 7)
 

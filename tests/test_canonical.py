@@ -4,8 +4,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurgas.canonical import z_canonical, z_canonical_qpoly, z_occupation_oracle
+from schurgas.canonical import z_canonical, z_canonical_qpoly
 from schurgas.qpoly import qp_eval_fraction
+from schurgas.schur import as_point
 from schurgas.statistics import (
     BOSE,
     EVEN_COLS,
@@ -19,6 +20,29 @@ from schurgas.statistics import (
 )
 
 PRIMES = (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
+
+
+def z_occupation_oracle(kind, point, n):
+    """Textbook occupation-number sum, independent of any Schur machinery.
+
+    Fermi: over subsets of n distinct levels. Bose: over multisets of n
+    levels. Only these two statistics have an elementary occupation rule;
+    anything else raises UnsupportedKind.
+    """
+    xs = as_point(point)
+    if kind.family == "fermi":
+        picks = combinations(range(len(xs)), n)
+    elif kind.family == "bose":
+        picks = combinations_with_replacement(range(len(xs)), n)
+    else:
+        raise UnsupportedKind(f"no occupation oracle for {kind}")
+    total = Fraction(0)
+    for pick in picks:
+        term = Fraction(1)
+        for i in pick:
+            term *= xs[i]
+        total += term
+    return total
 
 
 def test_z_canonical_known_values():

@@ -46,28 +46,39 @@ def test_schur_degenerate_point(capsys):
     assert blob["bialternant"] is None
 
 
-def test_schur_refuses_past_its_envelope(capsys, monkeypatch):
-    # the hook-content count decides before any tableau is enumerated
-    def enumerate_nothing(*args):
-        raise AssertionError("the envelope check must come first")
+def refuse_work(*args):
+    raise AssertionError("the envelope check must come before any work")
 
-    monkeypatch.setattr(cli, "schur_tableau", enumerate_nothing)
-    code, out, err = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "1,2,3,4,5,6"])
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--shape", "501", "--point", "2"], "more than 500 boxes"),
+    # the tableau count allowed this one, but the 100 x 100 Bareiss ran past 60 s
+    (["--shape", "1", "--point", ",".join(map(str, range(1, 101)))],
+     "point has 100 coordinates, more than 32"),
+    (["--shape", "40,30,20,10", "--point", "1,2,3,4,5,6"],
+     "needs a table of 409266 entries, more than 200000"),
+    # 32 coordinates of 14 bits make a 16032-entry table but a slow bialternant
+    (["--shape", "500", "--point", ",".join(f"{97 - i}/{89 + i}" for i in range(32))],
+     "more than 50000000000000"),
+])
+def test_schur_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
+    monkeypatch.setattr(cli, "schur_int_sums", refuse_work)
+    monkeypatch.setattr(cli, "schur_bialternant", refuse_work)
+    code, out, err = invoke(capsys, ["schur", *argv])
     assert (code, out) == (2, "")
-    assert "16362500 tableaux on 6 nonzero coordinates" in err
-    code, out, err = invoke(capsys, ["schur", "--shape", "501", "--point", "2"])
-    assert (code, out) == (2, "")
-    assert "more than 500 boxes" in err
+    assert reason in err
 
 
-def test_schur_runs_inside_its_envelope(capsys, monkeypatch):
-    # (8,5,3) has 504,504 tableaux on 6 coordinates, under the limit; the
-    # enumeration is stubbed out, since it takes seconds
-    monkeypatch.setattr(cli, "schur_tableau", lambda shape, point: Fraction(7))
-    code, out, _ = invoke(capsys, ["schur", "--shape", "8,5,3", "--point", "1,2,3,4,5,6"])
-    assert code == 0 and out.startswith("tableau = 7/1\n")
-    # zero coordinates are skipped, so (12,8,4) on three nonzero ones has 125
-    monkeypatch.undo()
+def test_schur_runs_inside_its_envelope(capsys):
+    # 16,362,500 tableaux on 6 coordinates, which exited 2 while the command
+    # enumerated them; the engine's table has 6 x 285 entries
+    code, out, _ = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "1,2,3,4,5,6"])
+    assert code == 0
+    assert out == "tableau = 701522599934506739389/1\nbialternant = 701522599934506739389/1\n"
+    # a shape with more parts than coordinates is zero and costs nothing
+    code, out, _ = invoke(capsys, ["schur", "--shape", "1,1,1", "--point", "2,3"])
+    assert (code, out) == (0, "tableau = 0/1\nbialternant = 0/1\n")
+    # repeated zero coordinates: no bialternant, and the tableau sum skips them
     code, out, _ = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "0,1,0,2,0,3"])
     assert code == 0 and out.startswith("tableau = 1025733456/1\n")
 

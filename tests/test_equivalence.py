@@ -8,6 +8,7 @@ from schurgas.equivalence import (
     SpectrumSpec,
     build_spectrum,
     check_equivalence,
+    _pair_count,
     eq1_degeneracy,
     gpf_bose_biseries,
     gpf_evencols_biseries,
@@ -22,6 +23,15 @@ def test_eq1_degeneracy_low_levels():
 @given(m=st.integers(0, 60))
 def test_eq1_degeneracy_closed_form(m):
     assert eq1_degeneracy(m) == m // 2 + 1
+
+
+def test_audit_counts_match_the_double_scans():
+    # one index enumerated, the other derived, against scanning both
+    for m in range(80):
+        assert eq1_degeneracy(m) == sum(1 for n in range(m + 1) for k in range(m + 1)
+                                        if 2 * n + k == m)
+        assert _pair_count(m) == sum(1 for a in range(m + 1) for b in range(m + 1)
+                                     if a < b and a + b == m)
 
 
 def test_build_spectrum_eq1():

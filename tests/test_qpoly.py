@@ -10,6 +10,7 @@ from schurgas.qpoly import (
     qp_add_shifted,
     qp_det,
     qp_divexact,
+    qp_divseries,
     qp_mul,
     qp_normalize,
     qp_power_sum_rows,
@@ -126,6 +127,61 @@ def test_divexact_round_trips():
             a = random_poly(rng, 3, rational) or [1]
             b = random_poly(rng, 2, rational) or [1]
             assert qp_divexact(naive_mul(a, b), b) == a
+
+
+def test_divseries_inverts_a_truncated_product():
+    rng = random.Random(5)
+    for rational in (False, True):
+        for emax in range(6):
+            a = random_poly(rng, 4, rational)
+            b = [rng.choice([-3, -1, 2, 5])] + random_poly(rng, 3, rational)
+            quot = qp_divseries(naive_mul(a, b), b, emax)
+            assert quot == qp_normalize(a[: emax + 1])
+            assert rational or all_ints(quot)
+    # 1 / (1 - w) is the geometric series, cut at emax
+    assert qp_divseries([1], [1, -1], 4) == [1, 1, 1, 1, 1]
+
+
+def test_divseries_refuses_what_it_cannot_divide():
+    with pytest.raises(ZeroDivisionError):
+        qp_divseries([1, 2], [0, 1], 3)  # no constant term
+    with pytest.raises(ZeroDivisionError):
+        qp_divseries([1], [], 3)
+    with pytest.raises(ArithmeticError):
+        qp_divseries([1, 1], [2, 1], 1)  # 1/2 is not an int
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_truncated_det_is_the_full_det_cut(n):
+    # a refusal only where the constant-term matrix is singular; anywhere
+    # else the full determinant cut at emax
+    rng = random.Random(n)
+    compared = 0
+    for emax in (0, 1, 3, 6) * 3:
+        matrix = [[random_poly(rng, rng.randint(0, 3), False) for _ in range(n)]
+                  for _ in range(n)]
+        try:
+            det = qp_det(matrix, emax)
+        except ZeroDivisionError:
+            assert not qp_det([[e[:1] for e in row] for row in matrix])
+            continue
+        assert det == qp_normalize(leibniz(matrix)[: emax + 1]) and all_ints(det)
+        compared += 1
+    assert compared >= 8
+
+
+def test_truncated_det_pivots_on_a_constant_term():
+    # the (0, 0) entry is w: the full elimination may pivot on it, the
+    # truncated one must swap in the row whose entry has a constant term
+    matrix = [[[0, 1], [2, 1]], [[3], [1, 0, 4]]]
+    assert qp_det(matrix, 3) == qp_normalize(leibniz(matrix)[:4])
+    assert qp_det(matrix, 0) == [-6]
+    # column 0 has no constant term anywhere: the constant-term matrix is
+    # singular, which is reported, not guessed at
+    with pytest.raises(ZeroDivisionError):
+        qp_det([[[0, 1], [1]], [[0, 2], [3]]], 4)
+    # a 1 x 1 matrix needs no pivot, and emax cuts its entry
+    assert qp_det([[[0, 1, 2]]], 1) == [0, 1]
 
 
 def test_divexact_raises_on_inexact_quotient():
