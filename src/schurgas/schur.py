@@ -6,15 +6,15 @@ One engine sums s_lam over groups of shapes by the branching rule
 variable and one box at a time: a bottom-up sweep over levels that keeps
 only the previous level's values and the current level's table. Two thin
 fronts supply its arithmetic: `schur_int_sums` at an integer point (for
-`z_canonical_sums`, at the D x of `clear_denominators`), and
-`schur_qpoly_sums` at x_i = q^(e_i), on integer q-polynomials cut at a
-degree cap (for thermo; `schur_qpoly` is its one-shape case).
+`z_canonical_sums` and the `schur` command, at the D x of
+`clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), on integer
+q-polynomials cut at a degree cap (for thermo; `schur_qpoly` is its
+one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
-coordinates are fine);
-`schur_bialternant` is det(x_i^(lam_j + M - j)) / det(x_i^(M - j)), which
-needs pairwise-distinct coordinates."""
+coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
+det(x_i^(M - j)), which needs pairwise-distinct coordinates."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _tableau_sum(lam: Partition, weights: Sequence[int], caps: Sequence[int]) -> int:
+def _tableau_sum(lam: Partition, weights: Sequence[Rational], caps: Sequence[int]) -> Rational:
     """Sum over the semistandard tableaux of shape lam with entries in
     1..len(weights), entry v used at most caps[v-1] times, of the product of
     weights[v-1] over the cells. The cells are filled in reading order from
@@ -86,9 +86,8 @@ def _tableau_sum(lam: Partition, weights: Sequence[int], caps: Sequence[int]) ->
 
 def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     """Schur function s_lam at the given point, as the content sum over all
-    semistandard Young tableaux of shape lam with entries in {1..M}, on ints
-    at D x (clear_denominators) over D^|lam|; a zero coordinate's entry is
-    skipped.
+    semistandard Young tableaux of shape lam with entries in {1..M}; a zero
+    coordinate's entry is skipped.
 
     Returns 0 when lam has more parts than there are coordinates, and 1 for
     the empty partition.
@@ -96,9 +95,7 @@ def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     xs = as_point(point)
     if len(lam) > len(xs):
         return Fraction(0)
-    scale, ys = clear_denominators(xs)
-    total = _tableau_sum(lam, ys, [sum(lam) if y else 0 for y in ys])
-    return Fraction(total, scale ** sum(lam))
+    return Fraction(_tableau_sum(lam, xs, [sum(lam) if x else 0 for x in xs]))
 
 
 def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:

@@ -8,7 +8,9 @@ two independently computed flavours:
 * `gpf_definition` is the defining sum, coefficient N = z_canonical(kind, N).
   Works for every statistics.
 * `gpf_product` and `gpf_parafermi_det` are the closed product and
-  determinant forms, for the statistics that have one.
+  determinant forms, for the statistics that have one. Both work mod
+  z^(nmax+1) throughout: the products by the power-sum kernel, the
+  determinants as Bareiss eliminations on series.
 
 `verify_identity` compares the two coefficientwise and reports the first
 mismatch, if any. Throughout, X_i = z * x_i, so a factor in X_i X_j or
