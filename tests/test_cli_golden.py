@@ -45,6 +45,12 @@ ARGV = [
     ["thermo", "--kind", "fermi", "--spectrum", "eq2", "--beta", "1.0", "--mu", "2.0"],
     ["thermo", "--kind", "hst", "--spectrum", "eq1", "--beta", "2", "--mu", "-1",
      "--qmax", "4", "--nmax", "8"],
+    ["thermo", "--kind", "parafermi:3", "--spectrum", "eq1", "--beta", "1.25",
+     "--target-n", "1.5", "--qmax", "4", "--nmax", "24"],
+    ["thermo", "--kind", "parabose:3", "--spectrum", "eq2", "--beta", "1.0",
+     "--target-n", "0.15", "--qmax", "3", "--nmax", "12"],
+    ["thermo", "--kind", "pq:4:4", "--spectrum", "eq1", "--beta", "1.5", "--mu", "-0.5",
+     "--qmax", "3", "--nmax", "16"],
 ]
 CASES = [argv + ["--format", fmt] for argv in ARGV for fmt in ("text", "json", "csv")]
 
