@@ -4,12 +4,12 @@ functions.
 One engine sums s_lam over groups of shapes by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
 variable and one box at a time: a bottom-up sweep over levels that keeps
-only the previous level's values and the current level's table. Two thin
-fronts supply its arithmetic: `schur_int_sums` at an integer point (for
-`z_canonical_sums` and the `schur` command, at the D x of
-`clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), on integer
-q-polynomials cut at a degree cap (for thermo; `schur_qpoly` is its
-one-shape case).
+only the previous level's values and the current level's table. It runs on
+ints alone; two thin fronts supply its step: `schur_int_sums` at an integer
+point (for `z_canonical_sums` and the `schur` command, at the D x of
+`clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), with each
+q-polynomial packed into one int at q = 2^W and unpacked at the end (for
+thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
@@ -23,7 +23,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_add_shifted, qp_det, qp_normalize
+from .qpoly import QPoly, qp_det
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -162,8 +162,8 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], zero, one, step) -> list[list]:
-    """Per group, the values of its shapes with at most m parts, by the
+def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], step) -> list[list[int]]:
+    """Per group, the int values of its shapes with at most m parts, by the
     branching rule taken one variable and one box at a time (the row
     recursion of Demmel and Koev, Math. Comp. 75 (2006)). G(lam, i) sums
     x_j^|lam/mu| s_mu(x_1..x_(j-1)) over the horizontal strips lam/mu that
@@ -171,10 +171,9 @@ def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], zero, one, st
     lam, G(lam, i) = G(lam, i + 1) + x_j G(lam - e_i, i) when lam_i >
     lam_(i+1) (G(lam, i + 1) otherwise), and s_lam(x_1..x_j) = G(lam, 0).
     Level j sweeps the downward closure of the groups' shapes, smallest
-    first, holding only level j - 1's values and its own G table. The front
-    gives `zero` (s of a shape longer than its variables), `one` (s_()) and
-    step(j, base, sub), a new value base + x_j sub; values are shared, so
-    step never changes its arguments."""
+    first, holding only level j - 1's values and its own G table. s_() is 1,
+    a shape longer than its variables has s = 0, and the front's
+    step(j, base, sub) gives base + x_j sub."""
     tops = [[tuple(lam) for lam in group if len(lam) <= m] for group in groups]
     subs: dict[Partition, list] = {}
     todo = [lam for group in tops for lam in group]
@@ -187,12 +186,12 @@ def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], zero, one, st
                          for i, part in enumerate(lam)]
             todo += [sub for sub in subs[lam] if sub is not None]
     order = sorted(subs, key=sum)
-    values = {(): one}
+    values = {(): 1}
     for j in range(1, m + 1):
-        table: dict[Partition, list] = {}
+        table: dict[Partition, list[int]] = {}
         for lam in order:
             if len(lam) <= j:
-                g = [values.get(lam, zero)] * (len(lam) + 1)
+                g = [values.get(lam, 0)] * (len(lam) + 1)
                 for i in range(len(lam) - 1, -1, -1):
                     sub = subs[lam][i]
                     g[i] = g[i + 1] if sub is None else step(j, g[i + 1], table[sub][i])
@@ -209,7 +208,7 @@ def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> 
     def step(j, base, sub):
         return base + ys[j - 1] * sub
 
-    return [sum(values) for values in _branching_sums(len(ys), groups, 0, 1, step)]
+    return [sum(values) for values in _branching_sums(len(ys), groups, step)]
 
 
 def schur_qpoly_sums(
@@ -218,29 +217,32 @@ def schur_qpoly_sums(
     """For each group of shapes, the sum of s_lam at x_i = q^(e_i) (the e_i
     nonnegative integers) as an integer coefficient list cut at degree
     emax >= 0 and normalized, so the zero polynomial is []. A shape with
-    more parts than there are exponents contributes zero. Each step makes a
-    new list no longer than emax + 1 and skips a shift past emax; the group
-    sums add in place. All coefficients are nonnegative (they count
-    tableaux by content energy)."""
+    more parts than there are exponents contributes zero.
+
+    The engine runs on ints at q = 2^W (Kronecker substitution), where
+    x_j sub is a shift. Every coefficient is nonnegative, and a shape's add
+    up to at most M^|lam| (its cells filled from M entries), so a group
+    sum's are at most the group's sum of M^|lam|. W is the largest such
+    bound's bit length, rounded up to whole bytes, so each coefficient is
+    one W-bit digit of its group's int."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
-    exps = tuple(exponents)
+    exps, groups = tuple(exponents), [list(group) for group in groups]
+    m = len(exps)
+    bound = max((sum(m ** sum(lam) for lam in group) for group in groups), default=0)
+    width = (bound.bit_length() + 7) // 8 or 1  # bytes per coefficient
+    shifts = [8 * width * e for e in exps]
 
     def step(j, base, sub):
-        e = exps[j - 1]
-        end = min(emax + 1, e + len(sub))
-        if end <= e:  # sub is zero, or all of it lies past emax
-            return base
-        out = base + [0] * (end - len(base))
-        qp_add_shifted(out, sub, e, emax)
-        return out
+        return base + (sub << shifts[j - 1])
 
     sums = []
-    for polys in _branching_sums(len(exps), groups, [], [1], step):
-        acc = [0] * max(map(len, polys), default=0)
-        for poly in polys:
-            qp_add_shifted(acc, poly, 0, emax)
-        sums.append(qp_normalize(acc))
+    for values in _branching_sums(m, groups, step):
+        packed = sum(values) & ((1 << 8 * width * (emax + 1)) - 1)
+        # sized by the value itself, so the top digit is nonzero: normalized
+        raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        sums.append([int.from_bytes(raw[k : k + width], "little")
+                     for k in range(0, len(raw), width)])
     return sums
 
 

@@ -108,6 +108,9 @@ def test_int_front_matches_the_product_engine(ys, groups):
 @example(exps=[2, 2, 5], emax=0, groups=[[(1,)], [()], [(2, 1), (1, 1, 1)]])
 @example(exps=[3, 1], emax=3, groups=[[(2,), (1, 1)], [(2, 1)], [(1, 1, 1)]])
 @example(exps=[], emax=4, groups=[[()], [(1,)], []])
+# packing: 600 needs more than the 8 bits M^|lam| = 2 alone would give
+@example(exps=(0, 0), emax=0, groups=[[(1,)] * 300])
+@example(exps=(0,) * 24, emax=0, groups=[[(10, 10, 10)] * 3])  # a 70-bit coefficient
 def test_qpoly_front_matches_the_product_engine(exps, emax, groups):
     assert schur_qpoly_sums(exps, emax, groups) == product_qpoly_sums(exps, emax, groups)
 
