@@ -23,7 +23,8 @@ from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
 from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
 from .series import DivisionInconsistency, gpf_definition, verify_identity
-from .statistics import UnsupportedKind, admitted_partitions, kind_name, parse_kind
+from .statistics import (UnsupportedKind, admitted_count, admitted_partitions, kind_name,
+                         parse_kind)
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
@@ -36,6 +37,10 @@ SCHUR_MAX_BOXES = 500
 SCHUR_MAX_TABLE = 200_000
 SCHUR_MAX_COORDS = 32
 SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
+# The `partitions` envelope, checked before any shape is generated: a listed
+# shape costs about 8 us, and the generator recurses once per part.
+PARTITIONS_MAX_BOXES = 500
+PARTITIONS_MAX_SHAPES = 100_000
 
 
 def frac_str(x: Fraction) -> str:
@@ -119,6 +124,12 @@ def _emit(args: argparse.Namespace, out: Output) -> int:
 
 def _cmd_partitions(args: argparse.Namespace) -> Output:
     max_parts = args.max_parts if args.max_parts is not None else max(args.n, 1)
+    if args.n > PARTITIONS_MAX_BOXES:
+        raise ValueError(f"n = {args.n} is more than {PARTITIONS_MAX_BOXES} boxes")
+    count = admitted_count(args.kind, args.n, max_parts)
+    if count > PARTITIONS_MAX_SHAPES:
+        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n}, "
+                         f"more than {PARTITIONS_MAX_SHAPES}")
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
         0, parts, ("partition",),

@@ -56,6 +56,23 @@ def iter_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iter
     yield from rec(n, n if max_part is None else max_part, max_parts, ())
 
 
+def count_partitions(n: int, max_parts: int, max_part: int | None = None) -> int:
+    """How many partitions iter_partitions(n, max_parts, max_part) yields
+    (max_parts may be 0 here), without listing one: the q^n coefficient of
+    the Gaussian binomial prod_(i=1..r) (1 - q^(c + i)) / (1 - q^i), r the
+    smaller of the two bounds and c the larger (conjugation swaps them)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    r, c = sorted((min(max_parts, n), n if max_part is None else min(max_part, n)))
+    coef = [1] + [0] * n
+    for i in range(1, r + 1):
+        for d in range(n, c + i - 1, -1):
+            coef[d] -= coef[d - c - i]
+        for d in range(i, n + 1):
+            coef[d] += coef[d - i]
+    return coef[n]
+
+
 def gen_partitions(n: int, max_parts: int) -> list[Partition]:
     """All partitions of n with length <= max_parts, reverse-lexicographic."""
     return list(iter_partitions(n, max_parts))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .partitions import Partition, iter_partitions
+from .partitions import Partition, count_partitions, iter_partitions
 
 _FAMILIES = (
     "bose",
@@ -141,6 +141,15 @@ def admits(kind: StatisticsKind, lam: Partition) -> bool:
     raise UnsupportedKind(kind_name(kind))
 
 
+_EVEN = ("even-rows", "even-cols")
+
+
+def _bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
+    """The row and column bounds of a kind other than the even ones."""
+    rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(kind.family, max_parts)
+    return min(rows, max_parts), {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(kind.family)
+
+
 def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Partition]:
     """gen_partitions(n, max_parts) filtered by admits, order preserved.
 
@@ -155,17 +164,25 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
     fam = kind.family
-    if fam in ("hst", "bose", "fermi", "parafermi", "parabose", "pq"):
-        rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(fam, max_parts)
-        cols = {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(fam)
-        return list(iter_partitions(n, min(rows, max_parts), cols))
+    if fam not in _EVEN:
+        return list(iter_partitions(n, *_bounds(kind, max_parts)))
     if n % 2:
         return []
     if fam == "even-rows":
         return [tuple(2 * p for p in mu) for mu in iter_partitions(n // 2, max_parts)]
-    if fam == "even-cols":
-        if max_parts < 2:
-            return [()] if n == 0 else []
-        halves = iter_partitions(n // 2, max_parts // 2)
-        return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
-    raise UnsupportedKind(kind_name(kind))
+    if max_parts < 2:  # even-cols
+        return [()] if n == 0 else []
+    halves = iter_partitions(n // 2, max_parts // 2)
+    return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
+
+
+def admitted_count(kind: StatisticsKind, n: int, max_parts: int) -> int:
+    """len(admitted_partitions(kind, n, max_parts)), counted without
+    generating a shape; the even kinds count the partitions of n/2 that
+    they map from."""
+    if n < 0 or max_parts < 1:
+        raise ValueError("need n >= 0 and max_parts >= 1")
+    if kind.family not in _EVEN:
+        return count_partitions(n, *_bounds(kind, max_parts))
+    halves = max_parts // 2 if kind.family == "even-cols" else max_parts
+    return 0 if n % 2 else count_partitions(n // 2, halves)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurgas import cli, thermo
+from schurgas import cli, statistics, thermo
 from schurgas.cli import run
 
 
@@ -11,6 +11,10 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_work(*args):
+    raise AssertionError("the envelope check must come before any work")
 
 
 def test_partitions_listing(capsys):
@@ -31,6 +35,29 @@ def test_partitions_json(capsys):
     assert json.loads(out) == [[3], [2, 1], [1, 1, 1]]
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["60"], "hst admits 966467 partitions of 60, more than 100000"),
+    (["46", "--format", "csv"], "admits 105558 partitions of 46"),
+    (["92", "--kind", "even-cols"], "even-cols admits 105558 partitions of 92"),
+    (["1500", "--kind", "fermi"], "n = 1500 is more than 500 boxes"),
+])
+def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
+    monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
+    code, out, err = invoke(capsys, ["partitions", *argv])
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+def test_partitions_lists_inside_its_envelope(capsys):
+    # 89,134 shapes, the most of any n under the bound
+    code, out, _ = invoke(capsys, ["partitions", "45", "--format", "json"])
+    assert code == 0
+    shapes = json.loads(out)
+    assert len(shapes) == 89134 and shapes[0] == [45] and shapes[-1] == [1] * 45
+    code, out, _ = invoke(capsys, ["partitions", "500", "--kind", "fermi"])
+    assert (code, out) == (0, ",".join(["1"] * 500) + "\n")
+
+
 def test_schur_both_backends(capsys):
     code, out, _ = invoke(capsys, ["schur", "--shape", "2,1", "--point", "2,3"])
     assert code == 0
@@ -44,10 +71,6 @@ def test_schur_degenerate_point(capsys):
     blob = json.loads(out)
     assert blob["tableau"] == "16/1"
     assert blob["bialternant"] is None
-
-
-def refuse_work(*args):
-    raise AssertionError("the envelope check must come before any work")
 
 
 @pytest.mark.parametrize("argv,reason", [

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from schurgas.partitions import (
     check_partition,
     conjugate,
+    count_partitions,
     gen_partitions,
     is_partition,
     iter_partitions,
@@ -86,6 +87,19 @@ def test_iter_partitions_rejects_bad_arguments():
         list(iter_partitions(-1, 3))
     with pytest.raises(ValueError):
         list(iter_partitions(3, 0))
+
+
+def test_count_partitions_is_the_listing_length():
+    for n in range(13):
+        for max_parts in range(1, 8):
+            for max_part in (None, *range(1, 8)):
+                expected = sum(1 for _ in iter_partitions(n, max_parts, max_part))
+                assert count_partitions(n, max_parts, max_part) == expected, (n, max_parts, max_part)
+        assert count_partitions(n, 0) == (n == 0)  # no parts allowed
+    assert count_partitions(60, 60) == 966467
+    assert count_partitions(100, 100) == 190569292
+    with pytest.raises(ValueError):
+        count_partitions(-1, 3)
 
 
 def test_conjugate_known_values():

@@ -12,6 +12,7 @@ from schurgas.statistics import (
     HST,
     UnsupportedKind,
     admits,
+    admitted_count,
     admitted_partitions,
     kind_name,
     parabose,
@@ -139,3 +140,13 @@ def test_admitted_partitions_reject_bad_sizes(kind):
         admitted_partitions(kind, 3, 0)
     with pytest.raises(ValueError):
         admitted_partitions(kind, 3, -2)
+
+
+@pytest.mark.parametrize("kind", ALL_FAMILIES, ids=kind_name)
+def test_admitted_count_is_the_listing_length(kind):
+    for n in range(15):
+        for m in range(1, 9):
+            assert admitted_count(kind, n, m) == len(admitted_partitions(kind, n, m)), (n, m)
+    for n, m in ((-1, 3), (-2, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            admitted_count(kind, n, m)
