@@ -23,8 +23,7 @@ from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
 from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
 from .series import DivisionInconsistency, gpf_definition, verify_identity
-from .statistics import (UnsupportedKind, admitted_count, admitted_partitions, kind_name,
-                         parse_kind)
+from .statistics import UnsupportedKind, admitted_count, admitted_partitions, kind_name, parse_kind
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",

@@ -220,24 +220,22 @@ def schur_qpoly_sums(
     more parts than there are exponents contributes zero.
 
     The engine runs on ints at q = 2^W (Kronecker substitution), where
-    x_j sub is a shift. Every coefficient is nonnegative, and a shape's add
-    up to at most M^|lam| (its cells filled from M entries), so a group
-    sum's are at most the group's sum of M^|lam|. W is the largest such
-    bound's bit length, rounded up to whole bytes, so each coefficient is
-    one W-bit digit of its group's int."""
+    x_j sub is a shift. Coefficients are nonnegative and a shape's sum to
+    at most M^|lam| (fillings of its cells from M entries), so W, the bit
+    length of the largest group sum of M^|lam| in whole bytes, holds each
+    coefficient of a group sum as one digit of its int."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
-    exps, groups = tuple(exponents), [list(group) for group in groups]
-    m = len(exps)
-    bound = max((sum(m ** sum(lam) for lam in group) for group in groups), default=0)
+    groups = [list(group) for group in groups]
+    bound = max((sum(len(exponents) ** sum(lam) for lam in group) for group in groups), default=0)
     width = (bound.bit_length() + 7) // 8 or 1  # bytes per coefficient
-    shifts = [8 * width * e for e in exps]
+    shifts = [8 * width * e for e in exponents]
 
     def step(j, base, sub):
         return base + (sub << shifts[j - 1])
 
     sums = []
-    for values in _branching_sums(m, groups, step):
+    for values in _branching_sums(len(exponents), groups, step):
         packed = sum(values) & ((1 << 8 * width * (emax + 1)) - 1)
         # sized by the value itself, so the top digit is nonzero: normalized
         raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
