@@ -144,6 +144,13 @@ def admits(kind: StatisticsKind, lam: Partition) -> bool:
 _EVEN = ("even-rows", "even-cols")
 
 
+def _check_sizes(n: int, max_parts: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_parts < 1:
+        raise ValueError("max_parts must be positive")
+
+
 def _bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
     """The row and column bounds of a kind other than the even ones."""
     rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(kind.family, max_parts)
@@ -159,10 +166,7 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
     n/2 (at most max_parts // 2 parts) with every part repeated twice. Both
     maps keep reverse-lexicographic order.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_parts < 1:
-        raise ValueError("max_parts must be positive")
+    _check_sizes(n, max_parts)
     fam = kind.family
     if fam not in _EVEN:
         return list(iter_partitions(n, *_bounds(kind, max_parts)))
@@ -180,8 +184,7 @@ def admitted_count(kind: StatisticsKind, n: int, max_parts: int) -> int:
     """len(admitted_partitions(kind, n, max_parts)), counted without
     generating a shape; the even kinds count the partitions of n/2 that
     they map from."""
-    if n < 0 or max_parts < 1:
-        raise ValueError("need n >= 0 and max_parts >= 1")
+    _check_sizes(n, max_parts)
     if kind.family not in _EVEN:
         return count_partitions(n, *_bounds(kind, max_parts))
     halves = max_parts // 2 if kind.family == "even-cols" else max_parts
