@@ -51,6 +51,10 @@ ARGV = [
      "--target-n", "0.15", "--qmax", "3", "--nmax", "12"],
     ["thermo", "--kind", "pq:4:4", "--spectrum", "eq1", "--beta", "1.5", "--mu", "-0.5",
      "--qmax", "3", "--nmax", "16"],
+    ["thermo", "--kind", "even-cols", "--spectrum", "eq2", "--beta", "1.5",
+     "--target-n", "0.2", "--qmax", "4", "--nmax", "16"],
+    ["thermo", "--kind", "bose", "--spectrum", "eq2", "--beta", "1.0",
+     "--target-n", "50", "--qmax", "4", "--nmax", "4"],
 ]
 CASES = [argv + ["--format", fmt] for argv in ARGV for fmt in ("text", "json", "csv")]
 
