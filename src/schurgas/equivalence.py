@@ -113,26 +113,24 @@ def _product_biseries(factors: list[Factor], qmax: int) -> BiSeries:
     return BiSeries(qmax, qmax, tuple(tuple(row) + (0,) * (qmax + 1 - len(row)) for row in rows))
 
 
-def gpf_bose_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
-    """Grand series of bosons on the given spectrum: product over levels of
-    (1 - a q^s)^(-degeneracy) with s the level's alpha_exponent."""
-    if spec.qmax != qmax:
-        raise ValueError("spectrum was built for a different qmax")
+def gpf_bose_biseries(spec: SpectrumSpec) -> BiSeries:
+    """Grand series of bosons on the given spectrum, to order (a, q)^spec.qmax:
+    product over levels of (1 - a q^s)^(-degeneracy) with s the level's
+    alpha_exponent."""
     factors = []
     for (energy, degeneracy), s in zip(spec.levels, spec.alpha_exponents()):
         if s < 1:
             raise ValueError("bose factors need q-exponent >= 1; level too low")
         factors.extend([(1, 1, 1, s)] * degeneracy)
-    return _product_biseries(factors, qmax)
+    return _product_biseries(factors, spec.qmax)
 
 
-def gpf_evencols_biseries(spec: SpectrumSpec, qmax: int) -> BiSeries:
-    """Grand series of the conjugate-even gas on a simple spectrum: product
-    over level pairs i < j of (1 - a q^(s_i + s_j))^(-1). Each power of a
-    counts one pair, i.e. two particles. Pairs with s_i + s_j > qmax cannot
-    touch the kept coefficients and are skipped."""
-    if spec.qmax != qmax:
-        raise ValueError("spectrum was built for a different qmax")
+def gpf_evencols_biseries(spec: SpectrumSpec) -> BiSeries:
+    """Grand series of the conjugate-even gas on a simple spectrum, to order
+    (a, q)^spec.qmax: product over level pairs i < j of (1 - a q^(s_i + s_j))^(-1).
+    Each power of a counts one pair, i.e. two particles. Pairs with
+    s_i + s_j > qmax cannot touch the kept coefficients and are skipped."""
+    qmax = spec.qmax
     if any(d != 1 for _, d in spec.levels):
         raise ValueError("pair product expects a non-degenerate spectrum")
     s = spec.alpha_exponents()
@@ -172,8 +170,8 @@ def check_equivalence(qmax: int) -> EquivalenceReport:
     kept coefficient. Inequality is reported, not raised."""
     spec1 = build_spectrum("eq1", qmax)
     spec2 = build_spectrum("eq2", qmax)
-    bose = gpf_bose_biseries(spec1, qmax)
-    evencols = gpf_evencols_biseries(spec2, qmax)
+    bose = gpf_bose_biseries(spec1)
+    evencols = gpf_evencols_biseries(spec2)
     first_mismatch = None
     for j in range(qmax + 1):
         for t in range(qmax + 1):

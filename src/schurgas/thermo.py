@@ -4,8 +4,8 @@ Everything upstream is exact; floating point enters only here, at the final
 substitution. For a spectrum on the half-quantum grid the N-particle weight
 is an integer polynomial in qh = e^(-beta hw / 2), computed once per
 (statistics, spectrum, truncation), from a closed product where there is
-one, and cached; evaluating at a given beta and chemical potential is then
-a handful of Horner passes, so the mu-solver pays that price exactly once.
+one, and cached. The Horner passes at qh depend on beta alone, so the
+mu-solver does them once per solve and only the per-mu sums at each step.
 """
 
 from __future__ import annotations
@@ -86,34 +86,36 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     return tuple((low, tuple(poly[low:])) for low, poly in zip(lows, polys))
 
 
-def _sectors(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams):
-    """evaluate up to the mean N, all the mu-solver needs: the mean N, the
-    weights z^N Z_N / e^top, their total, top, the polys, qh and r_N(qh)."""
-    exponents = spec.qpoly_exponents()
-    polys = _weight_polys(kind, exponents, params.nmax)
-    qh = math.exp(-params.beta_hw / 2)
-    logz = params.beta_hw * params.mu_over_hw
-    # Work with log weights, log z^N qh^(d_N) r_N(qh), so that neither an
-    # extreme fugacity nor a ground energy far above 1/beta (qh^(d_N) would
-    # underflow) leaves float range before the tail check can classify the
-    # point. r_N(qh) >= 1 for every N with states.
+def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):
+    """The beta-only half of evaluate: the polys, qh, r_N(qh) and each N's
+    two terms of log qh^(d_N) r_N(qh), d_N beta/2 and log r_N(qh) (None for
+    an N without states; r_N(qh) >= 1 for every N with states)."""
+    polys = _weight_polys(kind, spec.qpoly_exponents(), nmax)
+    qh = math.exp(-beta_hw / 2)
     try:
         values = [qp_eval_float(r, qh) for _, r in polys]
-    except OverflowError:
-        raise TruncationTail(
-            "canonical weight exceeded float range; reduce nmax or beta",
-            overflow=True,
-        ) from None
-    logw = [
-        n * logz - low * params.beta_hw / 2 + math.log(v) if v > 0.0 else None
-        for n, ((low, _), v) in enumerate(zip(polys, values))
-    ]
+    except OverflowError:  # a coefficient beyond float range
+        values = [math.inf]
+    if math.inf in values:
+        raise TruncationTail("canonical weight exceeded float range; reduce nmax or beta",
+                             overflow=True)
+    terms = [(low * beta_hw / 2, math.log(v) if v > 0.0 else None)
+             for (low, _), v in zip(polys, values)]
+    return polys, qh, values, terms
+
+
+def _mu_sums(terms, params: ThermoParams):
+    """The mu half of evaluate, all the mu-solver needs: the mean N, the
+    weights z^N Z_N / e^top, their total and top."""
+    logz = params.beta_hw * params.mu_over_hw
+    # Log weights, log z^N qh^(d_N) r_N(qh), so that neither an extreme
+    # fugacity nor a ground energy far above 1/beta (qh^(d_N) would
+    # underflow) leaves float range before the tail check can classify the point.
+    logw = [n * logz - a + b if b is not None else None for n, (a, b) in enumerate(terms)]
     top = max(lw for lw in logw if lw is not None)
     if not math.isfinite(top):
-        raise TruncationTail(
-            "grand canonical weight exceeded float range; reduce nmax or mu",
-            overflow=True,
-        )
+        raise TruncationTail("grand canonical weight exceeded float range; reduce nmax or mu",
+                             overflow=True)
     scaled = [math.exp(lw - top) if lw is not None else 0.0 for lw in logw]
     total = math.fsum(scaled)
     if not scaled[params.nmax] < TAIL_BOUND * total:
@@ -122,7 +124,7 @@ def _sectors(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams):
             f"mu/hw = {params.mu_over_hw}; increase nmax or lower mu"
         )
     mean_n = math.fsum(n * w for n, w in enumerate(scaled)) / total
-    return mean_n, scaled, total, top, polys, qh, values
+    return mean_n, scaled, total, top
 
 
 def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
@@ -130,7 +132,8 @@ def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> 
     qh = e^(-beta hw/2), with the mean particle number and the mean energy
     in units of hw. Raises TruncationTail unless the last term is below
     TAIL_BOUND of the total."""
-    mean_n, scaled, total, top, polys, qh, values = _sectors(kind, spec, params)
+    polys, qh, values, terms = _beta_terms(kind, spec, params.beta_hw, params.nmax)
+    mean_n, scaled, total, top = _mu_sums(terms, params)
     # half-quantum grid: energy in hw units is t/2 for the q^t coefficient,
     # so the per-N mean energy is d_N/2 plus a ratio of same-scale sums
     mean_e = (
@@ -154,50 +157,47 @@ def solve_mu(
     hits the target to MU_REL_TOL * max(1, target): relative above a target
     of 1 and absolute below, so a target of 1e-300 may end at mean 0.0.
     Bisection, on the mean number alone, over a bracket found by doubling
-    steps; the mean must not decrease along the upward hunt, else
+    steps; the beta-only terms are computed once, so each point costs only
+    the per-mu sums. The mean must not decrease along the upward hunt, else
     BracketFailure. Points failing the truncation check count as above the
     target, so the search backs away; a target beyond them, TruncationTail."""
     if not (target_mean_n > 0 and math.isfinite(target_mean_n)):
         raise ValueError("target mean particle number must be positive and finite")
     tol = MU_REL_TOL * max(1.0, target_mean_n)
-    WALL, OVER = "wall", "overflow"
+    ThermoParams(beta_hw, 0.0, nmax)  # beta and nmax, checked before any work
+    terms = _beta_terms(kind, spec, beta_hw, nmax)[3]
 
-    def mean_at(mu: float) -> float | str:
+    def mean_at(mu: float) -> float | None:
         try:
-            return _sectors(kind, spec, ThermoParams(beta_hw, mu, nmax))[0]
-        except TruncationTail as exc:
-            return OVER if exc.overflow else WALL
+            return _mu_sums(terms, ThermoParams(beta_hw, mu, nmax))[0]
+        except TruncationTail:
+            return None
 
     # occupation ~ e^-50 here: far below any sane target, and always feasible
     start = spec.levels[0][0] / 2 - 50.0 / beta_hw
     f0 = mean_at(start)
-    if not isinstance(f0, float):
+    if f0 is None:
         raise TruncationTail("truncation fails even in the dilute limit; increase nmax")
     lo = hi = start
     f_lo = f_hi = f0
     step = 1.0 / beta_hw
     hunts = 0
-    # Upward hunt. A tail-bound wall stops it (the target must then live
-    # below the wall); an overflow point does not, because a series that is
-    # truncation-limited trips the tail bound long before float range ends,
-    # so overflow during the hunt means the mean number has saturated below
-    # the target and the 200-step cap should diagnose that.
-    while f_hi == OVER or (isinstance(f_hi, float) and f_hi < target_mean_n):
+    # Upward hunt; a tail-bound wall stops it, and the target then lies below.
+    while f_hi is not None and f_hi < target_mean_n:
         hunts += 1
         if hunts > 200:
             raise BracketFailure(
                 f"no bracket after 200 upward steps (last mean {f_lo}); "
                 f"target {target_mean_n} looks unreachable (saturation?)"
             )
-        if isinstance(f_hi, float):
-            lo, f_lo = hi, f_hi
+        lo, f_lo = hi, f_hi
         hi += step
         step *= 2.0
         f_hi = mean_at(hi)
-        if isinstance(f_hi, float) and f_hi < f_lo - 1e-9 * max(1.0, abs(f_lo)):
-            raise BracketFailure(
-                f"mean number fell from {f_lo} to {f_hi} while raising mu"
-            )
+        if f_hi is not None and f_hi < f_lo - 1e-9 * max(1.0, abs(f_lo)):
+            raise BracketFailure(f"mean number fell from {f_lo} to {f_hi} while raising mu")
+    # Every Z_N >= 0, so the tail fraction grows with z: below a feasible
+    # point every point is feasible.
     while f_lo > target_mean_n:
         hunts += 1
         if hunts > 200:
@@ -206,14 +206,12 @@ def solve_mu(
         lo -= step
         step *= 2.0
         f_lo = mean_at(lo)
-        if not isinstance(f_lo, float):
-            raise TruncationTail("truncation fails while lowering mu; increase nmax")
 
-    wall_hit = not isinstance(f_hi, float)
+    wall_hit = f_hi is None
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         f_mid = mean_at(mid)
-        if not isinstance(f_mid, float):
+        if f_mid is None:
             wall_hit = True
             hi = mid
         elif abs(f_mid - target_mean_n) <= tol:

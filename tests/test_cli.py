@@ -5,6 +5,7 @@ import pytest
 
 from schurgas import cli, statistics, thermo
 from schurgas.cli import run
+from schurgas.equivalence import SpectrumSpec
 
 
 def invoke(capsys, argv):
@@ -188,6 +189,18 @@ def test_thermo_numeric_failure_exit(capsys):
                                    "--beta", "1.0", "--mu", "99", "--nmax", "8"])
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_thermo_target_checks_beta_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(thermo, "_weight_polys", refuse_work)
+    code, out, err = invoke(capsys, ["thermo", "--kind", "bose", "--spectrum", "eq2",
+                                     "--beta", "0", "--target-n", "1"])
+    assert (code, out, err) == (2, "", "error: beta_hw must be positive and finite\n")
+    spec = SpectrumSpec(((1, 1),), 1)
+    with pytest.raises(ValueError, match="^beta_hw must be positive and finite$"):
+        thermo.solve_mu(statistics.BOSE, spec, 0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="^nmax must be at least 1$"):
+        thermo.solve_mu(statistics.BOSE, spec, 1.0, 1.0, 0)
 
 
 def test_usage_errors_exit_two(capsys):

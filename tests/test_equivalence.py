@@ -73,7 +73,7 @@ def test_spectrum_accessors():
 
 def test_bose_biseries_landmark_coefficients():
     qmax = 6
-    series = gpf_bose_biseries(build_spectrum("eq1", qmax), qmax)
+    series = gpf_bose_biseries(build_spectrum("eq1", qmax))
     assert series.coeff(1, 1) == 1
     assert series.coeff(1, 5) == 3
     assert series.coeff(2, 2) == 1
@@ -81,7 +81,7 @@ def test_bose_biseries_landmark_coefficients():
 
 def test_evencols_biseries_landmark_coefficients():
     qmax = 6
-    series = gpf_evencols_biseries(build_spectrum("eq2", qmax), qmax)
+    series = gpf_evencols_biseries(build_spectrum("eq2", qmax))
     assert series.coeff(1, 1) == 1
     assert series.coeff(1, 5) == 3
     assert series.coeff(1, 0) == 0
@@ -90,8 +90,8 @@ def test_evencols_biseries_landmark_coefficients():
 def test_biseries_structural_invariants():
     qmax = 7
     for series in (
-        gpf_bose_biseries(build_spectrum("eq1", qmax), qmax),
-        gpf_evencols_biseries(build_spectrum("eq2", qmax), qmax),
+        gpf_bose_biseries(build_spectrum("eq1", qmax)),
+        gpf_evencols_biseries(build_spectrum("eq2", qmax)),
     ):
         assert series.coeff(0, 0) == 1
         for t in range(1, qmax + 1):
@@ -105,9 +105,7 @@ def test_biseries_structural_invariants():
 
 def test_biseries_rejects_mismatched_qmax():
     with pytest.raises(ValueError):
-        gpf_bose_biseries(build_spectrum("eq1", 4), 5)
-    with pytest.raises(ValueError):
-        gpf_evencols_biseries(build_spectrum("eq1", 4), 4)  # degenerate levels
+        gpf_evencols_biseries(build_spectrum("eq1", 4))  # degenerate levels
 
 
 def test_biseries_shape_validation():
@@ -146,7 +144,7 @@ def test_truncation_stability():
 def test_bose_rows_match_canonical_qpoly():
     qmax = 8
     spec = build_spectrum("eq1", qmax)
-    series = gpf_bose_biseries(spec, qmax)
+    series = gpf_bose_biseries(spec)
     exps = []
     for (_, d), s in zip(spec.levels, spec.alpha_exponents()):
         exps.extend([s] * d)
@@ -159,7 +157,7 @@ def test_bose_rows_match_canonical_qpoly():
 def test_evencols_rows_match_canonical_qpoly():
     qmax = 8
     spec = build_spectrum("eq2", qmax)
-    series = gpf_evencols_biseries(spec, qmax)
+    series = gpf_evencols_biseries(spec)
     exps = spec.alpha_exponents()
     for j in range(4):
         # one power of the pair symbol carries two particles

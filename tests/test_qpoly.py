@@ -274,11 +274,11 @@ def test_equivalence_tables_match_the_sweep(qmax):
     # them: one factor per level copy, and one per pair of eq2 levels
     eq1 = build_spectrum("eq1", qmax)
     bose = [(1, 1, 1, (e - 1) // 2) for e, d in eq1.levels for _ in range(d)]
-    assert gpf_bose_biseries(eq1, qmax).coeffs == tuple(
+    assert gpf_bose_biseries(eq1).coeffs == tuple(
         tuple(row) + (0,) * (qmax + 1 - len(row)) for row in sweep_rows(bose, qmax, qmax))
     s = [(e - 1) // 2 for e, _ in build_spectrum("eq2", qmax).levels]
     pairs = [(1, 1, 1, a + b) for i, a in enumerate(s) for b in s[i + 1 :]]
-    assert gpf_evencols_biseries(build_spectrum("eq2", qmax), qmax).coeffs == tuple(
+    assert gpf_evencols_biseries(build_spectrum("eq2", qmax)).coeffs == tuple(
         tuple(row) + (0,) * (qmax + 1 - len(row)) for row in sweep_rows(pairs, qmax, qmax))
 
 

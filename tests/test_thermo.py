@@ -161,6 +161,36 @@ def test_log_weight_overflow_is_a_truncation_failure():
     assert info.value.overflow
 
 
+@pytest.mark.parametrize("coeffs,beta", [
+    ((10**400,), 1.0),  # the Horner pass raises OverflowError
+    ((10**308,) * 3, 0.1),  # r_N(qh) = inf
+])
+def test_beta_only_overflow_reaches_the_solver_caller(monkeypatch, coeffs, beta):
+    polys = ((0, (1,)), (0, coeffs)) + ((0, ()),) * 7
+    monkeypatch.setattr(schurgas.thermo, "_weight_polys", lambda *args: polys)
+    with pytest.raises(TruncationTail) as info:
+        solve_mu(BOSE, SINGLE, beta, 0.5, 8)
+    assert str(info.value) == "canonical weight exceeded float range; reduce nmax or beta"
+
+
+@pytest.mark.parametrize("kind,spec,beta,nmax", [
+    ("fermi", build_spectrum("eq2", 6), 1.0, 24),
+    ("parafermi:2", build_spectrum("eq2", 6), 1.25, 28),
+])
+def test_solve_mu_runs_one_horner_pass_per_sector(monkeypatch, kind, spec, beta, nmax):
+    calls = []
+    horner = schurgas.qpoly.qp_eval_float
+
+    def counted(*args):
+        calls.append(args)
+        return horner(*args)
+
+    for module in (schurgas.qpoly, schurgas.thermo):
+        monkeypatch.setattr(module, "qp_eval_float", counted)
+    solve_mu(parse_kind(kind), spec, beta, 2.0, nmax)
+    assert len(calls) == nmax + 1
+
+
 def dense(polys):
     """The weight polynomials as plain coefficient lists from q^0."""
     return [[0] * low + list(coeffs) for low, coeffs in polys]
