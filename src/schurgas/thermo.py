@@ -88,8 +88,8 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
 
 def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):
     """The beta-only half of evaluate: the polys, qh, r_N(qh) and each N's
-    two terms of log qh^(d_N) r_N(qh), d_N beta/2 and log r_N(qh) (None for
-    an N without states; r_N(qh) >= 1 for every N with states)."""
+    two terms of log qh^(d_N) r_N(qh), d_N beta/2 and log r_N(qh), the second
+    None for an N without states (r_N(qh) >= 1 for every N with states)."""
     polys = _weight_polys(kind, spec.qpoly_exponents(), nmax)
     qh = math.exp(-beta_hw / 2)
     try:
