@@ -57,6 +57,11 @@ ARGV = [
      "--target-n", "50", "--qmax", "4", "--nmax", "4"],
 ]
 CASES = [argv + ["--format", fmt] for argv in ARGV for fmt in ("text", "json", "csv")]
+# equivalence inside the benchmark's qmax range (20-40) in the formats that
+# print no table, and a table-printing run well past the qmax 8 case
+CASES += [["equivalence", "--qmax", "30", "--format", "text"],
+          ["equivalence", "--qmax", "30", "--format", "csv"],
+          ["equivalence", "--qmax", "20", "--format", "json"]]
 
 
 def record(argv):
