@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .canonical import z_canonical
 from .equivalence import build_spectrum, check_equivalence
@@ -40,6 +40,9 @@ SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 # shape costs about 8 us, and the generator recurses once per part.
 PARTITIONS_MAX_BOXES = 500
 PARTITIONS_MAX_SHAPES = 100_000
+# The `equivalence` envelope, checked before any work: about 1 s of JSON, which
+# expands both (a, q) tables (qmax^3), or of text or CSV (qmax^2, power sums).
+EQUIVALENCE_MAX_QMAX = {"json": 160, "csv": 2000, "text": 2000}
 
 
 def frac_str(x: Fraction) -> str:
@@ -81,11 +84,12 @@ def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 
 class Output(NamedTuple):
     """What a handler found, before any formatting: the exit code, the JSON
-    record, the CSV header and rows, and the text lines. Rows and lines may
-    be generators, since only the format asked for is consumed."""
+    record, the CSV header and rows, and the text lines. Only the format asked
+    for is consumed: rows and lines may be generators, and the record is a
+    zero-argument callable, so what only JSON prints is built only for JSON."""
 
     code: int
-    record: Any
+    record: Callable[[], Any]
     header: tuple[str, ...]
     rows: Iterable[tuple]
     lines: Iterable[str]
@@ -105,7 +109,7 @@ def _emit(args: argparse.Namespace, out: Output) -> int:
     result into bytes. Returns the handler's exit code."""
     if args.format == "json":
         indent = 2 if args.subcommand in _INDENTED_JSON else None
-        text = json.dumps(out.record, default=frac_str, indent=indent) + "\n"
+        text = json.dumps(out.record(), default=frac_str, indent=indent) + "\n"
     elif args.format == "csv":
         text = "".join(",".join(map(_cell, row)) + "\n" for row in (out.header, *out.rows))
     else:
@@ -131,7 +135,7 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
                          f"more than {PARTITIONS_MAX_SHAPES}")
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
-        0, parts, ("partition",),
+        0, lambda: parts, ("partition",),
         (("+".join(map(str, lam)),) for lam in parts),
         (",".join(map(str, lam)) if lam else "-" for lam in parts),
     )
@@ -170,7 +174,7 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
         alt = None
     return Output(
         0,
-        {"shape": shape, "point": args.point, "tableau": tab, "bialternant": alt},
+        lambda: {"shape": shape, "point": args.point, "tableau": tab, "bialternant": alt},
         ("backend", "value"),
         [("tableau", tab), ("bialternant", alt)],
         [f"tableau = {frac_str(tab)}",
@@ -183,7 +187,7 @@ def _cmd_zn(args: argparse.Namespace) -> Output:
     value = z_canonical(args.kind, args.point, args.n)
     return Output(
         0,
-        {"kind": kind_name(args.kind), "point": args.point, "n": args.n, "value": value},
+        lambda: {"kind": kind_name(args.kind), "point": args.point, "n": args.n, "value": value},
         ("n", "value"), [(args.n, value)], [frac_str(value)],
     )
 
@@ -192,8 +196,8 @@ def _cmd_gpf(args: argparse.Namespace) -> Output:
     coeffs = gpf_definition(args.kind, args.point, args.nmax).coeffs
     return Output(
         0,
-        {"kind": kind_name(args.kind), "point": args.point, "nmax": args.nmax,
-         "coeffs": coeffs},
+        lambda: {"kind": kind_name(args.kind), "point": args.point, "nmax": args.nmax,
+                 "coeffs": coeffs},
         ("n", "coeff"), enumerate(coeffs),
         (f"{n}: {frac_str(c)}" for n, c in enumerate(coeffs)),
     )
@@ -209,9 +213,9 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
     reports = [verify_identity(kind, point, args.nmax) for kind in kinds for point in points]
     return Output(
         0 if all(r.equal for r in reports) else 1,
-        [{"kind": kind_name(r.kind), "point": r.point, "nmax": r.nmax, "equal": r.equal,
-          "first_mismatch": r.first_mismatch, "lhs": r.lhs.coeffs, "rhs": r.rhs.coeffs}
-         for r in reports],
+        lambda: [{"kind": kind_name(r.kind), "point": r.point, "nmax": r.nmax,
+                  "equal": r.equal, "first_mismatch": r.first_mismatch,
+                  "lhs": r.lhs.coeffs, "rhs": r.rhs.coeffs} for r in reports],
         ("kind", "point", "nmax", "equal", "first_mismatch"),
         ((kind_name(r.kind), '"{}"'.format(",".join(map(frac_str, r.point))), r.nmax,
           r.equal, r.first_mismatch) for r in reports),
@@ -221,13 +225,16 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
 
 
 def _cmd_equivalence(args: argparse.Namespace) -> Output:
+    if args.qmax > (limit := EQUIVALENCE_MAX_QMAX[args.format]):
+        raise ValueError(f"qmax = {args.qmax} is more than {limit} for --format {args.format}")
     report = check_equivalence(args.qmax)
     mismatch = report.first_mismatch
     return Output(
         0 if report.equal else 1,
-        {"qmax": report.qmax, "equal": report.equal, "first_mismatch": mismatch,
-         "bose": report.bose.coeffs, "evencols": report.evencols.coeffs,
-         "degeneracy_table": report.degeneracy_table, "factor_audit": report.factor_audit},
+        lambda: {"qmax": report.qmax, "equal": report.equal, "first_mismatch": mismatch,
+                 "bose": report.bose.coeffs, "evencols": report.evencols.coeffs,
+                 "degeneracy_table": report.degeneracy_table,
+                 "factor_audit": report.factor_audit},
         ("level_index", "energy_halfq", "degeneracy"),
         ((m, 2 * m + 3, d) for m, d in report.degeneracy_table),
         [f"qmax = {report.qmax}", f"equal = {report.equal}",
@@ -247,9 +254,9 @@ def _cmd_thermo(args: argparse.Namespace) -> Output:
     r = evaluate(args.kind, spec, ThermoParams(args.beta, mu, args.nmax))
     return Output(
         0,
-        {"kind": kind_name(args.kind), "spectrum": args.spectrum, "qmax": args.qmax,
-         "nmax": args.nmax, "beta_hw": args.beta, "mu_over_hw": mu, "logZ": r.logZ,
-         "mean_n": r.mean_n, "mean_e_over_hw": r.mean_e_over_hw},
+        lambda: {"kind": kind_name(args.kind), "spectrum": args.spectrum, "qmax": args.qmax,
+                 "nmax": args.nmax, "beta_hw": args.beta, "mu_over_hw": mu, "logZ": r.logZ,
+                 "mean_n": r.mean_n, "mean_e_over_hw": r.mean_e_over_hw},
         ("beta_hw", "mu_over_hw", "meanN", "meanE_over_hw", "logZ"),
         [(args.beta, mu, r.mean_n, r.mean_e_over_hw, r.logZ)],
         [f"mu_over_hw = {mu!r}", f"logZ = {r.logZ!r}", f"meanN = {r.mean_n!r}",

@@ -35,25 +35,26 @@ def weight(lam: Partition) -> int:
 def iter_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield the partitions of n with at most max_parts parts, each part at
     most max_part (unbounded when None), in reverse-lexicographic order
-    (largest first part first)."""
+    (largest first part first). The parts are chosen depth first on an
+    explicit stack, so the number of parts sets no recursion depth."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
-
-    def rec(remaining: int, cap: int, slots: int, prefix: Partition) -> Iterator[Partition]:
+    parts: list[int] = []
+    remaining, k = n, min(n, n if max_part is None else max_part)  # k: next part to try
+    while True:
         if remaining == 0:
-            yield prefix
+            yield tuple(parts)
+        elif k * (max_parts - len(parts)) >= remaining:
+            # largest feasible part first => reverse-lexicographic output
+            parts.append(k)
+            remaining, k = remaining - k, min(remaining - k, k)
+            continue
+        if not parts:
             return
-        if slots == 0:
-            return
-        # largest feasible first part first => reverse-lexicographic output
-        for k in range(min(remaining, cap), 0, -1):
-            if k * slots < remaining:
-                break
-            yield from rec(remaining - k, k, slots - 1, prefix + (k,))
-
-    yield from rec(n, n if max_part is None else max_part, max_parts, ())
+        k = parts.pop()  # back up one part and try one smaller there
+        remaining, k = remaining + k, k - 1
 
 
 def count_partitions(n: int, max_parts: int, max_part: int | None = None) -> int:

@@ -167,6 +167,29 @@ def test_equivalence_csv(capsys):
     assert out.startswith("level_index,energy_halfq,degeneracy\n")
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--qmax", "1000000000"], "qmax = 1000000000 is more than 2000 for --format text"),
+    (["--qmax", "2001", "--format", "csv"], "qmax = 2001 is more than 2000 for --format csv"),
+    # JSON prints both tables, about qmax^3 work
+    (["--qmax", "161", "--format", "json"], "qmax = 161 is more than 160 for --format json"),
+])
+def test_equivalence_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
+    monkeypatch.setattr(cli, "check_equivalence", refuse_work)
+    code, out, err = invoke(capsys, ["equivalence", *argv])
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+def test_equivalence_envelope_keeps_its_limits(capsys, monkeypatch):
+    asked = []
+    small = cli.check_equivalence(3)
+    monkeypatch.setattr(cli, "check_equivalence", lambda qmax: asked.append(qmax) or small)
+    for argv in (["--qmax", "2000"], ["--qmax", "2000", "--format", "csv"],
+                 ["--qmax", "160", "--format", "json"]):
+        assert invoke(capsys, ["equivalence", *argv])[0] == 0
+    assert asked == [2000, 2000, 160]
+
+
 def test_thermo_fixed_mu(capsys):
     code, out, _ = invoke(capsys, ["thermo", "--kind", "fermi", "--spectrum", "eq2",
                                    "--beta", "1.0", "--mu", "2.0", "--format", "json"])

@@ -2,7 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from schurgas import equivalence
 from schurgas.canonical import z_canonical_qpoly
+from schurgas.cli import run
 from schurgas.equivalence import (
     BiSeries,
     SpectrumSpec,
@@ -13,6 +15,7 @@ from schurgas.equivalence import (
     gpf_bose_biseries,
     gpf_evencols_biseries,
 )
+from schurgas.qpoly import qp_power_sums
 from schurgas.statistics import BOSE, EVEN_COLS
 
 
@@ -164,3 +167,52 @@ def test_evencols_rows_match_canonical_qpoly():
         poly = z_canonical_qpoly(EVEN_COLS, exps, 2 * j, qmax)
         padded = list(poly) + [0] * (qmax + 1 - len(poly))
         assert list(series.coeffs[j]) == padded
+
+
+def first_table_mismatch(left, right):
+    # the full table scan that decided equal before the power sums did
+    qmax = left.qmax
+    return next(((j, t) for j in range(qmax + 1) for t in range(qmax + 1)
+                 if left.coeff(j, t) != right.coeff(j, t)), None)
+
+
+@pytest.mark.parametrize("qmax", [1, 2, 3, 5, 8, 13, 21, 34, 55, 80])
+def test_power_sum_decision_matches_the_tables(qmax):
+    report = check_equivalence(qmax)
+    assert report.equal
+    assert first_table_mismatch(report.bose, report.evencols) is None
+    assert report.bose.coeffs == report.evencols.coeffs
+
+
+def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):
+    # one pair factor moved from q^5 to q^6: the tables first differ in row 1
+    pair_factors = equivalence._pair_factors
+
+    def perturbed(spec):
+        pairs = pair_factors(spec)
+        pairs[(1, 1, 1, 5)] -= 1
+        pairs[(1, 1, 1, 6)] += 1
+        return pairs
+
+    monkeypatch.setattr(equivalence, "_pair_factors", perturbed)
+    qmax = 12
+    report = check_equivalence(qmax)
+    bose = equivalence._bose_factors(build_spectrum("eq1", qmax))
+    pairs = perturbed(build_spectrum("eq2", qmax))
+    assert qp_power_sums(bose, qmax, qmax) != qp_power_sums(pairs, qmax, qmax)
+    assert not report.equal
+    tables = first_table_mismatch(report.bose, equivalence._product_biseries(pairs, qmax))
+    assert report.first_mismatch == tables == (1, 5)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_text_and_csv_build_no_table(capsys, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError("a coefficient table was built")
+
+    monkeypatch.setattr(equivalence, "_product_biseries", refuse)
+    assert run(["equivalence", "--qmax", "30", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("qmax = 30\nequal = True\n" if fmt == "text" else "level_index,")
+    with pytest.raises(AssertionError, match="table was built"):
+        run(["equivalence", "--qmax", "3", "--format", "json"])

@@ -12,6 +12,7 @@ from schurgas.partitions import (
     iter_partitions,
     weight,
 )
+from schurgas.statistics import FERMI, admitted_partitions
 
 
 @st.composite
@@ -87,6 +88,38 @@ def test_iter_partitions_rejects_bad_arguments():
         list(iter_partitions(-1, 3))
     with pytest.raises(ValueError):
         list(iter_partitions(3, 0))
+
+
+def recursive_partitions(n, max_parts, max_part=None):
+    # the generator iter_partitions replaced, one recursion level per part
+    def rec(remaining, cap, slots, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        if slots == 0:
+            return
+        for k in range(min(remaining, cap), 0, -1):
+            if k * slots < remaining:
+                break
+            yield from rec(remaining - k, k, slots - 1, prefix + (k,))
+
+    yield from rec(n, n if max_part is None else max_part, max_parts, ())
+
+
+def test_iter_partitions_matches_the_recursion_in_order():
+    for n in range(13):
+        for max_parts in range(1, 14):
+            for max_part in (None, 0, 1, 2, 3, 5, 13):
+                assert list(iter_partitions(n, max_parts, max_part)) == list(
+                    recursive_partitions(n, max_parts, max_part)), (n, max_parts, max_part)
+
+
+def test_iter_partitions_has_no_recursion_limit():
+    # the recursion stopped near 990 parts
+    assert list(iter_partitions(1500, 1500, 1)) == [(1,) * 1500]
+    assert admitted_partitions(FERMI, 1500, 1500) == [(1,) * 1500]
+    assert next(iter_partitions(1500, 1500, 2)) == (2,) * 750
+    assert count_partitions(1502, 1500, 2) == sum(1 for _ in iter_partitions(1502, 1500, 2))
 
 
 def test_count_partitions_is_the_listing_length():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 from operator import add
@@ -14,6 +15,7 @@ from schurgas.qpoly import (
     qp_mul,
     qp_normalize,
     qp_power_sum_rows,
+    qp_power_sums,
 )
 
 
@@ -256,6 +258,18 @@ def test_power_sum_rows_small_products():
         [1]] + [[]] * 7
     assert qp_power_sum_rows([], 3, 2) == [[1], [], [], []]
     assert qp_power_sum_rows([(1, 1, 1, 1)], 0, 0) == [[1]]
+
+
+def test_power_sums_merge_factors_and_drop_zeros():
+    # (1 - z q)^(-2) (1 - z^2 q^3)^(-1): 2 q^k at z^k, and 2 q^(3k) at z^(2k)
+    factors = [(1, 1, 1, 1), (2, 1, 1, 3), (1, 1, 1, 1)]
+    assert qp_power_sums(factors, 4, 6) == [{}, {1: 2}, {2: 2, 3: 2}, {3: 2}, {4: 2, 6: 2}]
+    assert qp_power_sums(Counter(factors), 4, 6) == qp_power_sums(factors, 4, 6)
+    # the cancelling pair leaves no entry, as the empty product
+    cancel = [(3, -1, F(2, 5), 1), (3, 1, F(-2, 5), 1)]
+    assert qp_power_sums(cancel, 7, 4) == qp_power_sums([], 7, 4) == [{}] * 8
+    with pytest.raises(ValueError):
+        qp_power_sums([(1, 1, 1, -1)], 3, 3)
 
 
 def test_power_sum_rows_rejects_bad_factors():
