@@ -189,7 +189,7 @@ def check_equivalence(qmax: int) -> EquivalenceReport:
         qmax=qmax,
         equal=qp_power_sums(bose, qmax, qmax) == qp_power_sums(pairs, qmax, qmax),
         degeneracy_table=tuple((m, d) for m, (_, d) in enumerate(spec1.levels)),
-        factor_audit=tuple((t, eq1_degeneracy(t - 1), _pair_count(t)) for t in range(1, qmax + 1)),
+        factor_audit=tuple((t, d, _pair_count(t)) for t, (_, d) in enumerate(spec1.levels, 1)),
         bose_factors=bose,
         pair_factors=pairs,
     )

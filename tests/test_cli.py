@@ -168,8 +168,8 @@ def test_equivalence_csv(capsys):
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (["--qmax", "1000000000"], "qmax = 1000000000 is more than 2000 for --format text"),
-    (["--qmax", "2001", "--format", "csv"], "qmax = 2001 is more than 2000 for --format csv"),
+    (["--qmax", "1000000000"], "qmax = 1000000000 is more than 3000 for --format text"),
+    (["--qmax", "3001", "--format", "csv"], "qmax = 3001 is more than 3000 for --format csv"),
     # JSON prints both tables, about qmax^3 work
     (["--qmax", "161", "--format", "json"], "qmax = 161 is more than 160 for --format json"),
 ])
@@ -184,10 +184,10 @@ def test_equivalence_envelope_keeps_its_limits(capsys, monkeypatch):
     asked = []
     small = cli.check_equivalence(3)
     monkeypatch.setattr(cli, "check_equivalence", lambda qmax: asked.append(qmax) or small)
-    for argv in (["--qmax", "2000"], ["--qmax", "2000", "--format", "csv"],
+    for argv in (["--qmax", "3000"], ["--qmax", "3000", "--format", "csv"],
                  ["--qmax", "160", "--format", "json"]):
         assert invoke(capsys, ["equivalence", *argv])[0] == 0
-    assert asked == [2000, 2000, 160]
+    assert asked == [3000, 3000, 160]
 
 
 def test_thermo_fixed_mu(capsys):
