@@ -181,7 +181,6 @@ def test_power_sum_decision_matches_the_tables(qmax):
     report = check_equivalence(qmax)
     assert report.equal
     assert first_table_mismatch(report.bose, report.evencols) is None
-    assert report.bose.coeffs == report.evencols.coeffs
 
 
 def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):
