@@ -23,7 +23,8 @@ from .equivalence import build_spectrum, check_equivalence
 from .partitions import check_partition
 from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
 from .series import DivisionInconsistency, gpf_definition, verify_identity
-from .statistics import UnsupportedKind, admitted_count, admitted_partitions, kind_name, parse_kind
+from .statistics import (UnsupportedKind, admitted_count, admitted_partitions, kind_name,
+                         parse_kind, shape_bounds)
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
@@ -36,10 +37,12 @@ SCHUR_MAX_BOXES = 500
 SCHUR_MAX_TABLE = 200_000
 SCHUR_MAX_COORDS = 32
 SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
-# The `partitions` envelope, checked before any shape is generated: a listed
-# shape costs about 8 us, and the count about n^2 steps (0.01 s at 500 boxes).
-PARTITIONS_MAX_BOXES = 500
+# The `partitions` envelope, checked before any shape is generated: the count
+# takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
+# up to 0.35 us a part, with at most min(n, rows) parts a shape (1 s at either).
+PARTITIONS_MAX_BOXES = 4000
 PARTITIONS_MAX_SHAPES = 100_000
+PARTITIONS_MAX_PARTS = 3_000_000
 # The `equivalence` envelope, checked before any work: about 1 s of JSON, which
 # expands both (a, q) tables (qmax^3), or of text or CSV (qmax^2, power sums).
 EQUIVALENCE_MAX_QMAX = {"json": 160, "csv": 3000, "text": 3000}
@@ -133,6 +136,10 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
     if count > PARTITIONS_MAX_SHAPES:
         raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n}, "
                          f"more than {PARTITIONS_MAX_SHAPES}")
+    printed = count * min(args.n, shape_bounds(args.kind, max_parts)[0])
+    if printed > PARTITIONS_MAX_PARTS:
+        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n} with up "
+                         f"to {printed} parts in all, more than {PARTITIONS_MAX_PARTS}")
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
         0, lambda: parts, ("partition",),

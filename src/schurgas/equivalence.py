@@ -21,10 +21,11 @@ computation, only the docs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 from .qpoly import qp_power_sum_rows, qp_power_sums
 
@@ -123,11 +124,13 @@ def _bose_factors(spec: SpectrumSpec) -> Counter:
 def _pair_factors(spec: SpectrumSpec) -> Counter:
     """The pair product's factors (1 - a q^(s_i + s_j))^(-1), levels i < j of
     a simple spectrum, counted by exponent so memory stays linear in qmax.
-    Pairs past q^qmax cannot touch the kept coefficients and are skipped."""
+    Pairs past q^qmax are never formed: the exponents increase, so the
+    partners of level i that keep s_i + s_j <= qmax form a slice."""
     if any(d != 1 for _, d in spec.levels):
         raise ValueError("pair product expects a non-degenerate spectrum")
-    return Counter((1, 1, 1, a + b) for a, b in combinations(spec.alpha_exponents(), 2)
-                   if a + b <= spec.qmax)
+    exps = spec.alpha_exponents()
+    return Counter((1, 1, 1, a + b) for i, a in enumerate(exps)
+                   for b in exps[i + 1 : bisect_right(exps, spec.qmax - a)])
 
 
 def gpf_bose_biseries(spec: SpectrumSpec) -> BiSeries:

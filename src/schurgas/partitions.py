@@ -28,10 +28,6 @@ def check_partition(parts) -> Partition:
     return lam
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
 def iter_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield the partitions of n with at most max_parts parts, each part at
     most max_part (unbounded when None), in reverse-lexicographic order

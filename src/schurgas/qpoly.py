@@ -5,9 +5,10 @@ is whatever the caller makes it: q in the Schur and equivalence tables, the
 fugacity z in the grand series. Coefficients may be `int` or `Fraction`;
 every operation is exact, and integer inputs give integer outputs (division
 is exact division, never float division). The normalized form has trailing
-zeros stripped, so the zero polynomial is []. Functions taking `emax` drop
-powers above it; `qp_add_shifted` updates in place a dense list whose
-length the caller fixes, and `qp_power_sum_rows` expands products in (z, q).
+zeros stripped, so the zero polynomial is []. Products, quotients and the
+determinant take power series cut at a required `emax` (0 for constants);
+`qp_add_shifted` updates in place a dense list whose length the caller
+fixes, and `qp_power_sum_rows` expands products in (z, q).
 
 Everything here is a plain function on lists, so there is no class.
 """
@@ -51,13 +52,11 @@ def qp_add_shifted(dst: list[int], src: QPoly, shift: int, emax: int) -> None:
     dst[shift:end] = map(add, dst[shift:end], src)
 
 
-def qp_mul(a: QPoly, b: QPoly, emax: int | None = None) -> QPoly:
-    """Normalized product a * b, dropping powers above emax when given."""
+def qp_mul(a: QPoly, b: QPoly, emax: int) -> QPoly:
+    """Normalized product a * b, dropping powers above emax."""
     if not a or not b:
         return []
-    top = len(a) + len(b) - 2
-    if emax is not None:
-        top = min(top, emax)
+    top = min(len(a) + len(b) - 2, emax)
     out = [0] * (top + 1)
     for i, ca in enumerate(a[: top + 1]):
         if ca:
@@ -74,26 +73,6 @@ def _divide(x, y):
             raise ArithmeticError(f"inexact integer division {x} / {y}")
         return quot
     return x / y
-
-
-def qp_divexact(a: QPoly, b: QPoly) -> QPoly:
-    """Quotient a / b when b divides a exactly; raises ArithmeticError when
-    there is a remainder and ZeroDivisionError when b is zero. b must be
-    normalized (nonzero leading coefficient)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = _divide(rem[k + len(b) - 1], lead)
-        quot[k] = c
-        if c:
-            for i, cb in enumerate(b):
-                rem[k + i] -= c * cb
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return qp_normalize(quot)
 
 
 def qp_divseries(a: QPoly, b: QPoly, emax: int) -> QPoly:
@@ -162,47 +141,31 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[Q
     return [[0] * low + prev for low, prev in rows]
 
 
-def qp_det(matrix: Sequence[Sequence[QPoly]], emax: int | None = None) -> QPoly:
-    """Determinant of a square matrix of polynomials by fraction-free
-    (Bareiss) elimination, normalized; a singular matrix gives [].
-
-    Entries are normalized on entry, so [0] works as zero. Every division
-    is exact (Bareiss, Math. Comp. 22, 1968), so integer entries give an
-    integer determinant. A constant matrix is one of degree-0 entries.
-
-    With emax, entries are power series cut at emax and the result is the
-    determinant cut there. Each pivot then needs a nonzero constant term,
-    so that qp_divseries can divide by it; when a column has none (the
-    constant-term matrix is singular) ZeroDivisionError is raised.
-    """
+def qp_det(matrix: Sequence[Sequence[QPoly]], emax: int) -> QPoly:
+    """Determinant of a square matrix of power series by fraction-free
+    elimination, cut at emax and normalized; the entries are cut and
+    normalized first, so [0] works as zero. Every division is exact
+    (Bareiss, Math. Comp. 22, 1968), so integer entries give an integer
+    determinant, and a constant matrix takes emax = 0. A pivot needs a
+    nonzero constant term for qp_divseries: a column without one (the
+    constant-term matrix is singular) raises ZeroDivisionError."""
     n = len(matrix)
-    if n == 0:
-        return [1]
-    m = [[qp_normalize(e if emax is None else e[: emax + 1]) for e in row] for row in matrix]
-
-    def usable(entry):
-        return entry and (emax is None or entry[0])
-
-    sign = 1
+    m = [[qp_normalize(e[: emax + 1]) for e in row] for row in matrix]
     prev: QPoly = [1]
     for k in range(n - 1):
-        if not usable(m[k][k]):
-            swap = next((i for i in range(k + 1, n) if usable(m[i][k])), None)
-            if swap is None and emax is not None:
-                raise ZeroDivisionError(f"no pivot with a nonzero constant term in column {k}")
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
+        swap = next((i for i in range(k, n) if m[i][k] and m[i][k][0]), None)
+        if swap is None:
+            raise ZeroDivisionError(f"no pivot with a nonzero constant term in column {k}")
+        if swap > k:  # swapping two rows and negating one keeps the determinant
+            m[k], m[swap] = m[swap], [[-c for c in e] for e in m[k]]
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 minor = qp_add(qp_mul(pivot, m[i][j], emax),
                                [-c for c in qp_mul(m[i][k], m[k][j], emax)])
-                m[i][j] = qp_divexact(minor, prev) if emax is None else qp_divseries(minor, prev, emax)
+                m[i][j] = qp_divseries(minor, prev, emax)
         prev = pivot
-    det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else det
+    return m[-1][-1] if n else [1]
 
 
 def qp_eval_float(poly: QPoly, q: float) -> float:

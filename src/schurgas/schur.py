@@ -14,7 +14,8 @@ thermo; `schur_qpoly` is its one-shape case).
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
 coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
-det(x_i^(M - j)), which needs pairwise-distinct coordinates."""
+det(x_i^(M - j)), which needs pairwise-distinct coordinates, both alternants
+by the kernel's one determinant (`qp_det` on int constants, cut at 0)."""
 
 from __future__ import annotations
 
@@ -117,7 +118,11 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
         # Row x = n/d times d^top has integer entries n^e d^(top-e), so the
         # determinant runs on ints and the scale comes back out at the end.
         top = max(exps, default=0)
-        det = qp_det([[[x.numerator ** e * x.denominator ** (top - e)] for e in exps] for x in xs])
+        rows = [[[x.numerator ** e * x.denominator ** (top - e)] for e in exps] for x in xs]
+        try:  # constants, cut at 0: a column with no nonzero pivot is singular
+            det = qp_det(rows, 0)
+        except ZeroDivisionError:
+            return Fraction(0)
         return Fraction(det[0] if det else 0, scale ** top)
 
     num = alternant([p + m - 1 - j for j, p in enumerate(padded)])

@@ -119,7 +119,7 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     of two determinants with entries X_j^(T-i) - X_j^i (i, j = 1..M), with
     T = 2M+p+1 over T = 2M+1, as a series in z cut at z^nmax.
 
-    Both determinants are series mod w^(nmax+1) (qp_det with emax), never
+    Both determinants are series mod w^(nmax+1) (qp_det at emax = nmax), never
     expanded in full, and so is their ratio (qp_divseries). Row i of both
     carries w^i; divided out, it leaves the constant-term matrix (-y_j^i),
     whose determinant +-prod y_j Vandermonde(y) is the nonzero pivot needed.

@@ -151,8 +151,8 @@ def _check_sizes(n: int, max_parts: int) -> None:
         raise ValueError("max_parts must be positive")
 
 
-def _bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
-    """The row and column bounds of a kind other than the even ones."""
+def shape_bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
+    """A kind's row and column bounds; (max_parts, None) for the even kinds."""
     rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(kind.family, max_parts)
     return min(rows, max_parts), {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(kind.family)
 
@@ -169,7 +169,7 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
     _check_sizes(n, max_parts)
     fam = kind.family
     if fam not in _EVEN:
-        return list(iter_partitions(n, *_bounds(kind, max_parts)))
+        return list(iter_partitions(n, *shape_bounds(kind, max_parts)))
     if n % 2:
         return []
     if fam == "even-rows":
@@ -186,6 +186,6 @@ def admitted_count(kind: StatisticsKind, n: int, max_parts: int) -> int:
     they map from."""
     _check_sizes(n, max_parts)
     if kind.family not in _EVEN:
-        return count_partitions(n, *_bounds(kind, max_parts))
+        return count_partitions(n, *shape_bounds(kind, max_parts))
     halves = max_parts // 2 if kind.family == "even-cols" else max_parts
     return 0 if n % 2 else count_partitions(n // 2, halves)

@@ -27,13 +27,8 @@ MU_REL_TOL = 1e-8
 
 class TruncationTail(ArithmeticError):
     """The last kept particle-number term is not negligible; nmax is too
-    small for this fugacity, or the requested target is unreachable. The
-    overflow flag records whether the failure was a float-range overflow
-    rather than the tail bound itself."""
-
-    def __init__(self, message: str, *, overflow: bool = False):
-        super().__init__(message)
-        self.overflow = overflow
+    small for this fugacity, or the requested target is unreachable. A
+    weight beyond float range raises it too, with a message saying so."""
 
 
 class BracketFailure(ArithmeticError):
@@ -97,8 +92,7 @@ def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: 
     except OverflowError:  # a coefficient beyond float range
         values = [math.inf]
     if math.inf in values:
-        raise TruncationTail("canonical weight exceeded float range; reduce nmax or beta",
-                             overflow=True)
+        raise TruncationTail("canonical weight exceeded float range; reduce nmax or beta")
     terms = [(low * beta_hw / 2, math.log(v) if v > 0.0 else None)
              for (low, _), v in zip(polys, values)]
     return polys, qh, values, terms
@@ -114,8 +108,7 @@ def _mu_sums(terms, params: ThermoParams):
     logw = [n * logz - a + b if b is not None else None for n, (a, b) in enumerate(terms)]
     top = max(lw for lw in logw if lw is not None)
     if not math.isfinite(top):
-        raise TruncationTail("grand canonical weight exceeded float range; reduce nmax or mu",
-                             overflow=True)
+        raise TruncationTail("grand canonical weight exceeded float range; reduce nmax or mu")
     scaled = [math.exp(lw - top) if lw is not None else 0.0 for lw in logw]
     total = math.fsum(scaled)
     if not scaled[params.nmax] < TAIL_BOUND * total:

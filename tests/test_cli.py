@@ -40,7 +40,11 @@ def test_partitions_json(capsys):
     (["60"], "hst admits 966467 partitions of 60, more than 100000"),
     (["46", "--format", "csv"], "admits 105558 partitions of 46"),
     (["92", "--kind", "even-cols"], "even-cols admits 105558 partitions of 92"),
-    (["1500", "--kind", "fermi"], "n = 1500 is more than 500 boxes"),
+    (["4001", "--kind", "fermi"], "n = 4001 is more than 4000 boxes"),
+    # few shapes, but long ones: 10,542,000 parts at most
+    (["500", "--kind", "parafermi:3"], "admits 21084 partitions of 500 with up to 10542000 parts"),
+    (["44", "--format", "json"], "admits 75175 partitions of 44 with up to 3307700 parts"),
+    (["2449", "--kind", "parafermi:2"], "more than 3000000"),
 ])
 def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
     monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
@@ -50,13 +54,13 @@ def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason)
 
 
 def test_partitions_lists_inside_its_envelope(capsys):
-    # 89,134 shapes, the most of any n under the bound
-    code, out, _ = invoke(capsys, ["partitions", "45", "--format", "json"])
+    # 63,261 shapes of up to 43 parts, the most of any n under the part bound
+    code, out, _ = invoke(capsys, ["partitions", "43", "--format", "json"])
     assert code == 0
     shapes = json.loads(out)
-    assert len(shapes) == 89134 and shapes[0] == [45] and shapes[-1] == [1] * 45
-    code, out, _ = invoke(capsys, ["partitions", "500", "--kind", "fermi"])
-    assert (code, out) == (0, ",".join(["1"] * 500) + "\n")
+    assert len(shapes) == 63261 and shapes[0] == [43] and shapes[-1] == [1] * 43
+    code, out, _ = invoke(capsys, ["partitions", "1500", "--kind", "fermi"])
+    assert (code, out) == (0, ",".join(["1"] * 1500) + "\n")
 
 
 def test_schur_both_backends(capsys):

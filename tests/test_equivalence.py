@@ -1,4 +1,7 @@
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,6 +184,15 @@ def test_power_sum_decision_matches_the_tables(qmax):
     report = check_equivalence(qmax)
     assert report.equal
     assert first_table_mismatch(report.bose, report.evencols) is None
+
+
+def test_pair_factors_match_every_level_pair():
+    # the partner slices against every pair of levels, filtered at qmax
+    for qmax in range(1, 81):
+        spec = build_spectrum("eq2", qmax)
+        every = Counter((1, 1, 1, a + b) for a, b in combinations(spec.alpha_exponents(), 2)
+                        if a + b <= qmax)
+        assert equivalence._pair_factors(spec) == every, qmax
 
 
 def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):

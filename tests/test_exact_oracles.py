@@ -2,8 +2,8 @@
 against the code it replaced.
 
 `full_parafermi_ratio` below is the parafermi closed form as it was: both
-determinants expanded in full as w-polynomials, divided exactly, and only
-then cut at w^nmax. `gpf_parafermi_det` now computes them mod w^(nmax+1);
+determinants expanded in full as w-polynomials (the test-only Bareiss of
+`full_bareiss`), divided exactly, and only then cut at w^nmax. `gpf_parafermi_det` now computes them mod w^(nmax+1);
 the two must agree on values, exception types and messages. The `schur`
 command now takes its `tableau` value from the branching engine; the
 tableau enumeration `schur_tableau` is its oracle.
@@ -14,11 +14,12 @@ import io
 import json
 from fractions import Fraction as F
 
+from full_bareiss import poly_det, poly_divexact
 from hypothesis import example, given, settings, strategies as st
 
 from schurgas.cli import frac_str, run
 from schurgas.partitions import gen_partitions
-from schurgas.qpoly import QPoly, qp_det, qp_divexact, qp_normalize
+from schurgas.qpoly import QPoly, qp_normalize
 from schurgas.schur import DistinctnessViolation, as_point, clear_denominators, schur_tableau
 from schurgas.series import DivisionInconsistency, FugacitySeries, gpf_parafermi_det
 
@@ -46,15 +47,15 @@ def full_parafermi_ratio(p, point, nmax):
     if len(set(xs)) != m:
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
     scale, ys = clear_denominators(xs)
-    num = qp_det(
+    num = poly_det(
         [[_monomial_diff(ys[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
-    den = qp_det(
+    den = poly_det(
         [[_monomial_diff(ys[j], 2 * m + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]
     )
     if not den:
         raise DivisionInconsistency("denominator determinant is identically zero")
-    ratio = qp_divexact(num, den)[: nmax + 1]
+    ratio = poly_divexact(num, den)[: nmax + 1]
     coeffs = [F(c, scale ** k) for k, c in enumerate(ratio)]
     return FugacitySeries(nmax, tuple(coeffs) + (0,) * (nmax + 1 - len(coeffs)))
 

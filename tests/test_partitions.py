@@ -10,7 +10,6 @@ from schurgas.partitions import (
     gen_partitions,
     is_partition,
     iter_partitions,
-    weight,
 )
 from schurgas.statistics import FERMI, admitted_partitions
 
@@ -79,7 +78,7 @@ def test_gen_partitions_matches_brute_force(n, max_parts):
 def test_generated_partitions_are_valid(n, max_parts):
     for lam in iter_partitions(n, max_parts):
         assert is_partition(lam)
-        assert weight(lam) == n
+        assert sum(lam) == n
         assert len(lam) <= max_parts
 
 
@@ -149,7 +148,7 @@ def test_conjugate_involution(partition):
 
 @given(partition=partition_strategy())
 def test_conjugate_preserves_weight(partition):
-    assert weight(conjugate(partition)) == weight(partition)
+    assert sum(conjugate(partition)) == sum(partition)
 
 
 @given(partition=partition_strategy())

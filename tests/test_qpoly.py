@@ -5,26 +5,18 @@ from itertools import permutations
 from operator import add
 
 import pytest
+from full_bareiss import poly_det, poly_divexact, poly_mul as naive_mul
 
 from schurgas.equivalence import build_spectrum, gpf_bose_biseries, gpf_evencols_biseries
 from schurgas.qpoly import (
     qp_add_shifted,
     qp_det,
-    qp_divexact,
     qp_divseries,
     qp_mul,
     qp_normalize,
     qp_power_sum_rows,
     qp_power_sums,
 )
-
-
-def naive_mul(a, b):
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return qp_normalize(out)
 
 
 def leibniz(matrix):
@@ -55,6 +47,21 @@ def random_poly(rng, degree, rational):
     return qp_normalize(coeffs)
 
 
+def degree_bound(matrix):
+    """Each row's largest entry degree, summed: no term of the determinant
+    has a higher degree, so qp_det cut there is the full determinant."""
+    return sum(max(max(map(len, row)) - 1, 0) for row in matrix)
+
+
+def constant_terms(matrix):
+    return [[e[:1] for e in row] for row in matrix]
+
+
+def full_det(matrix):
+    """qp_det cut at the degree bound, so nothing is cut."""
+    return qp_det(matrix, degree_bound(matrix))
+
+
 FRACTION_ZERO_CORNER = [
     [[F(0)], [F(1, 2)], [F(3)]],
     [[F(2, 3)], [F(5)], [F(-1, 4)]],
@@ -69,7 +76,7 @@ POLY_ZERO_CORNER = [
 
 @pytest.mark.parametrize("matrix", [FRACTION_ZERO_CORNER, POLY_ZERO_CORNER])
 def test_det_with_zero_pivot_swaps_rows(matrix):
-    det = qp_det(matrix)
+    det = full_det(matrix)
     assert det == leibniz(matrix)
     assert det
 
@@ -77,49 +84,117 @@ def test_det_with_zero_pivot_swaps_rows(matrix):
 @pytest.mark.parametrize("rational", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_det_matches_leibniz_on_random_matrices(n, rational):
+    # a refusal only where the constant-term matrix is singular
     rng = random.Random(100 * n + rational)
+    compared = 0
     for _ in range(5):
         matrix = [[random_poly(rng, rng.randint(0, 2), rational) for _ in range(n)]
                   for _ in range(n)]
-        assert qp_det(matrix) == leibniz(matrix)
+        try:
+            assert full_det(matrix) == leibniz(matrix)
+            compared += 1
+        except ZeroDivisionError:
+            assert not leibniz(constant_terms(matrix))
+    assert compared >= 3
+
+
+def singular_or_zero(matrix):
+    """qp_det at emax 0 of a singular constant matrix: [] or a refusal."""
+    try:
+        return qp_det(matrix, 0)
+    except ZeroDivisionError:
+        return []
+
+
+SINGULAR_CONSTANT = [
+    [[[1], [2]], [[2], [4]]],
+    [[[F(1, 2)], [F(1)], [F(3)]], [[F(1)], [F(2)], [F(6)]], [[F(5)], [F(0)], [F(1)]]],
+    [[[], [1]], [[], [2]]],  # a zero column: no pivot at all
+    [[[1], [1], [1]], [[-1], [-1], [1]], [[0], [0], [1]]],  # no pivot in column 1
+    [[[1], [2], [3]], [[0], [0], [0]], [[4], [5], [6]]],  # a zero row
+]
 
 
 def test_det_of_singular_matrix_is_zero():
-    assert qp_det([[[1, 1], [2]], [[2, 2], [4]]]) == []
-    assert qp_det([[[F(1, 2)], [F(1)], [F(3)]],
-                   [[F(1)], [F(2)], [F(6)]],
-                   [[F(5)], [F(0)], [F(1)]]]) == []
-    assert qp_det([[[], [1]], [[], [2]]]) == []
+    for matrix in SINGULAR_CONSTANT:
+        assert leibniz(matrix) == []
+        assert singular_or_zero(matrix) == []
+    assert qp_det([[[1, 1], [2]], [[2, 2], [4]]], 1) == []
+    with pytest.raises(ZeroDivisionError):
+        qp_det(SINGULAR_CONSTANT[3], 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_constant_det_matches_leibniz(n):
+    # small entries with many zeros, so that about a third are singular; a
+    # singular matrix gives [] or a refusal, never a wrong value
+    rng = random.Random(n)
+    singular = 0
+    for _ in range(40):
+        matrix = [[[rng.choice([0, 0, 0, 1, -1, 2])] for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3 and n > 1:  # one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            matrix[i] = [[rng.choice([-2, 1, 3]) * e[0]] for e in matrix[j]]
+        want = leibniz(matrix)
+        if want:
+            det = qp_det(matrix, 0)
+            assert det == want and all_ints(det)
+        else:
+            singular += 1
+            assert singular_or_zero(matrix) == []
+    assert 0 < singular < 40 or n == 1
 
 
 def test_det_of_empty_matrix_is_one():
-    assert qp_det([]) == [1]
+    assert qp_det([], 0) == [1]
 
 
 def test_det_normalizes_zero_entries():
     # [0] and [Fraction(0)] are zeros with a trailing zero left in; they
     # must not be taken as pivots
-    assert qp_det([[[0], [1]], [[1], [0]]]) == [-1]
+    assert qp_det([[[0], [1]], [[1], [0]]], 0) == [-1]
     assert qp_det([[[F(0)], [F(2)], [0, 0]],
                    [[F(3)], [F(0)], [F(1)]],
-                   [[1], [F(1)], [F(0)]]]) == [F(2)]
+                   [[1], [F(1)], [F(0)]]], 1) == [F(2)]
 
 
 def test_int_inputs_never_produce_floats():
     rng = random.Random(7)
-    for n in (2, 3, 4):
+    compared = 0
+    for n in (2, 3, 4) * 2:
         matrix = [[random_poly(rng, rng.randint(0, 2), False) for _ in range(n)]
                   for _ in range(n)]
-        det = qp_det(matrix)
+        try:
+            det = full_det(matrix)
+        except ZeroDivisionError:
+            continue
         assert all_ints(det)
         assert det == leibniz(matrix)
+        compared += 1
+    assert compared >= 3
     # the minor 1 + z^2 has an inner zero that is divided by the int 1 of
     # the first Bareiss step
-    det = qp_det([[[1], [1]], [[0, 0, 1], [1, 0, 2]]])
+    det = qp_det([[[1], [1]], [[0, 0, 1], [1, 0, 2]]], 2)
     assert det == [1, 0, 1] and all_ints(det)
-    quot = qp_divexact([0, 2, 4, 2], [0, 1, 1])
+    quot = poly_divexact([0, 2, 4, 2], [0, 1, 1])
     assert quot == [2, 2] and all_ints(quot)
     assert all_ints(qp_mul([1, -2, 3], [4, 5], 2))
+
+
+def test_full_expansion_oracle_matches_leibniz():
+    # the test-only determinant behind full_parafermi_ratio pivots on any
+    # nonzero entry, so it never refuses, and a singular matrix gives []
+    for matrix in [FRACTION_ZERO_CORNER, POLY_ZERO_CORNER, *SINGULAR_CONSTANT, []]:
+        assert poly_det(matrix) == leibniz(matrix)
+    assert poly_det([[[0], [1]], [[1], [0]]]) == [-1]
+    assert poly_det([[[0, 1], [1]], [[0, 2], [3]]]) == [0, 1]  # no constant-term pivot
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        for rational in (False, True):
+            matrix = [[random_poly(rng, rng.randint(0, 2), rational) for _ in range(n)]
+                      for _ in range(n)]
+            det = poly_det(matrix)
+            assert det == leibniz(matrix) and (rational or all_ints(det))
 
 
 def test_divexact_round_trips():
@@ -128,7 +203,7 @@ def test_divexact_round_trips():
         for _ in range(10):
             a = random_poly(rng, 3, rational) or [1]
             b = random_poly(rng, 2, rational) or [1]
-            assert qp_divexact(naive_mul(a, b), b) == a
+            assert poly_divexact(naive_mul(a, b), b) == a
 
 
 def test_divseries_inverts_a_truncated_product():
@@ -165,7 +240,7 @@ def test_truncated_det_is_the_full_det_cut(n):
         try:
             det = qp_det(matrix, emax)
         except ZeroDivisionError:
-            assert not qp_det([[e[:1] for e in row] for row in matrix])
+            assert not leibniz(constant_terms(matrix))
             continue
         assert det == qp_normalize(leibniz(matrix)[: emax + 1]) and all_ints(det)
         compared += 1
@@ -188,18 +263,17 @@ def test_truncated_det_pivots_on_a_constant_term():
 
 def test_divexact_raises_on_inexact_quotient():
     with pytest.raises(ArithmeticError):
-        qp_divexact([1, 0, 1], [1, 1])  # remainder 2
+        poly_divexact([1, 0, 1], [1, 1])  # remainder 2
     with pytest.raises(ArithmeticError):
-        qp_divexact([1], [2])  # exact over Q, not over the ints
-    assert qp_divexact([F(1)], [2]) == [F(1, 2)]
+        poly_divexact([1], [2])  # exact over Q, not over the ints
+    assert poly_divexact([F(1)], [2]) == [F(1, 2)]
     with pytest.raises(ZeroDivisionError):
-        qp_divexact([1], [])
+        poly_divexact([1], [])
 
 
 def test_mul_truncates_at_emax():
     a, b = [1, 2, 3], [F(1, 2), 0, 5]
     full = naive_mul(a, b)
-    assert qp_mul(a, b) == full
     for emax in range(6):
         assert qp_mul(a, b, emax) == qp_normalize(full[: emax + 1])
     assert qp_mul(a, b, 10) == full

@@ -3,7 +3,7 @@ from itertools import permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurgas.partitions import conjugate, gen_partitions
 from schurgas.qpoly import qp_normalize
@@ -106,6 +106,22 @@ def test_schur_bialternant_allows_zero_if_distinct():
 @settings(max_examples=60)
 @given(lam=small_partition(), point=distinct_point())
 def test_backends_agree_on_distinct_points(lam, point):
+    assert schur_bialternant(lam, point) == schur_tableau(lam, point)
+
+
+# Small integers and halves of both signs, and zero: s_lam vanishes at some
+# distinct points of these, where the numerator alternant is singular.
+SMALL_COORDS = [Fraction(c) for c in (0, 1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lam=small_partition(),
+       point=st.lists(st.sampled_from(SMALL_COORDS), min_size=1, max_size=5, unique=True))
+@example(lam=(1,), point=[Fraction(1), Fraction(-1), Fraction(0)])  # no pivot in column 1
+@example(lam=(1,), point=[Fraction(1), Fraction(-1)])  # the last entry eliminates to 0
+@example(lam=(2, 1, 1), point=[Fraction(0), Fraction(1), Fraction(2)])  # a zero row
+@example(lam=(3,), point=[Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(-1)])
+def test_bialternant_is_zero_where_the_numerator_is_singular(lam, point):
     assert schur_bialternant(lam, point) == schur_tableau(lam, point)
 
 

@@ -158,7 +158,7 @@ def test_log_weight_overflow_is_a_truncation_failure():
     # beta * mu is finite, N * beta * mu is not
     with pytest.raises(TruncationTail) as info:
         evaluate(BOSE, build_spectrum("eq2", 4), ThermoParams(1.0, 1e307, 24))
-    assert info.value.overflow
+    assert str(info.value) == "grand canonical weight exceeded float range; reduce nmax or mu"
 
 
 @pytest.mark.parametrize("coeffs,beta", [
@@ -298,7 +298,7 @@ def reference_solve_mu(kind, spec, beta_hw, target_mean_n, nmax):
         try:
             return evaluate(kind, spec, ThermoParams(beta_hw, mu, nmax)).mean_n
         except TruncationTail as exc:
-            return OVER if exc.overflow else WALL
+            return OVER if "exceeded float range" in str(exc) else WALL
 
     start = spec.levels[0][0] / 2 - 50.0 / beta_hw
     f0 = mean_at(start)
