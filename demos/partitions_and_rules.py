@@ -6,11 +6,11 @@ Walk through the combinatorial layer: generate partitions, conjugate them,
 and see which ones each statistics keeps.
 """
 
-from schurgas.partitions import conjugate, gen_partitions
+from schurgas.partitions import conjugate, iter_partitions
 from schurgas.statistics import admits, parse_kind
 
 print("partitions of 6 into at most 3 parts:")
-for lam in gen_partitions(6, 3):
+for lam in iter_partitions(6, 3):
     print("  ", lam, "  conjugate:", conjugate(lam))
 
 print()
@@ -21,7 +21,7 @@ print()
 kinds = ["bose", "fermi", "parafermi:2", "parabose:2", "pq:2:2", "hst",
          "even-rows", "even-cols"]
 
-shapes = gen_partitions(4, 4)
+shapes = iter_partitions(4, 4)
 header = "shape".ljust(14) + "".join(k.ljust(13) for k in kinds)
 print(header)
 for lam in shapes:

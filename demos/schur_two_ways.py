@@ -3,7 +3,7 @@
 
 from fractions import Fraction
 
-from schurgas.partitions import gen_partitions
+from schurgas.partitions import iter_partitions
 from schurgas.schur import kostka, monomial_sym, schur_bialternant, schur_tableau
 
 lam = (3, 2, 1)
@@ -21,7 +21,7 @@ print("bialternant ratio  :", b)
 # third route: expand into monomial symmetric functions with Kostka counts
 total = Fraction(0)
 print("kostka expansion   :")
-for mu in gen_partitions(sum(lam), len(point)):
+for mu in iter_partitions(sum(lam), len(point)):
     k = kostka(lam, mu)
     if k:
         m = monomial_sym(mu, point)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .qpoly import QPoly
+from .qpoly import OffsetPoly
 from .schur import Rational, as_point, clear_denominators, schur_int_sums, schur_qpoly_sums
 from .statistics import StatisticsKind, admitted_partitions
 
@@ -32,9 +32,9 @@ def z_canonical_sums(
 
 def z_canonical_qpoly(
     kind: StatisticsKind, exponents: Sequence[int], n: int, emax: int
-) -> QPoly:
+) -> OffsetPoly:
     """Z_N on an integer energy grid x_i = q^(e_i), as an exact integer
-    coefficient list in q truncated at degree emax.
+    q-polynomial truncated at degree emax, in offset form (low, coeffs).
 
     Coefficients count the n-particle states of each total energy, so they
     are nonnegative.

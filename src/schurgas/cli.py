@@ -239,7 +239,7 @@ def _cmd_equivalence(args: argparse.Namespace) -> Output:
     return Output(
         0 if report.equal else 1,
         lambda: {"qmax": report.qmax, "equal": report.equal, "first_mismatch": mismatch,
-                 "bose": report.bose.coeffs, "evencols": report.evencols.coeffs,
+                 "bose": report.bose, "evencols": report.evencols,
                  "degeneracy_table": report.degeneracy_table,
                  "factor_audit": report.factor_audit},
         ("level_index", "energy_halfq", "degeneracy"),

@@ -88,28 +88,14 @@ def build_spectrum(family: str, qmax: int) -> SpectrumSpec:
     return SpectrumSpec(levels, qmax)
 
 
-@dataclass(frozen=True)
-class BiSeries:
-    """Truncated bivariate series sum c[j][t] a^j q^t with exact integer
-    coefficients, j <= amax, t <= qmax."""
-
-    amax: int
-    qmax: int
-    coeffs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.amax + 1:
-            raise ValueError("need amax + 1 rows")
-        if any(len(row) != self.qmax + 1 for row in self.coeffs):
-            raise ValueError("every row needs qmax + 1 entries")
-
-    def coeff(self, j: int, t: int) -> int:
-        return self.coeffs[j][t]
+Table = tuple[tuple[int, ...], ...]
 
 
-def _product_biseries(factors: Counter, qmax: int) -> BiSeries:
-    rows = qp_power_sum_rows(factors, qmax, qmax)
-    return BiSeries(qmax, qmax, tuple(tuple(row) + (0,) * (qmax + 1 - len(row)) for row in rows))
+def _product_biseries(factors: Counter, qmax: int) -> Table:
+    """The series sum c[j][t] a^j q^t of the factors' product: the kernel's
+    offset rows padded into qmax + 1 rows of qmax + 1 integers, t = 0..qmax."""
+    return tuple((0,) * low + tuple(row) + (0,) * (qmax + 1 - low - len(row))
+                 for low, row in qp_power_sum_rows(factors, qmax, qmax))
 
 
 def _bose_factors(spec: SpectrumSpec) -> Counter:
@@ -133,12 +119,12 @@ def _pair_factors(spec: SpectrumSpec) -> Counter:
                    for b in exps[i + 1 : bisect_right(exps, spec.qmax - a)])
 
 
-def gpf_bose_biseries(spec: SpectrumSpec) -> BiSeries:
+def gpf_bose_biseries(spec: SpectrumSpec) -> Table:
     """Grand series of bosons on the spectrum to order (a, q)^spec.qmax."""
     return _product_biseries(_bose_factors(spec), spec.qmax)
 
 
-def gpf_evencols_biseries(spec: SpectrumSpec) -> BiSeries:
+def gpf_evencols_biseries(spec: SpectrumSpec) -> Table:
     """Grand series of the conjugate-even gas on a simple spectrum to order
     (a, q)^spec.qmax. Each power of a counts one pair, i.e. two particles."""
     return _product_biseries(_pair_factors(spec), spec.qmax)
@@ -169,7 +155,7 @@ class EquivalenceReport:
         if self.equal:
             return None
         cells = product(range(self.qmax + 1), repeat=2)
-        return next(c for c in cells if self.bose.coeff(*c) != self.evencols.coeff(*c))
+        return next((j, t) for j, t in cells if self.bose[j][t] != self.evencols[j][t])
 
 
 def _pair_count(t: int) -> int:

@@ -1,4 +1,4 @@
-"""Dense truncated polynomials in one variable: the package's series kernel.
+"""Truncated polynomials in one variable: the package's series kernel.
 
 A polynomial is a plain list of coefficients indexed by power. The variable
 is whatever the caller makes it: q in the Schur and equivalence tables, the
@@ -6,9 +6,10 @@ fugacity z in the grand series. Coefficients may be `int` or `Fraction`;
 every operation is exact, and integer inputs give integer outputs (division
 is exact division, never float division). The normalized form has trailing
 zeros stripped, so the zero polynomial is []. Products, quotients and the
-determinant take power series cut at a required `emax` (0 for constants);
-`qp_add_shifted` updates in place a dense list whose length the caller
-fixes, and `qp_power_sum_rows` expands products in (z, q).
+determinant take power series cut at a required `emax` (0 for constants).
+A q-polynomial leaves its producer (`qp_power_sum_rows`, the q front in
+`schur`) in one offset form, `OffsetPoly` (low, coeffs): low is its lowest
+degree, coeffs run from there up, first and last nonzero; zero is (0, []).
 
 Everything here is a plain function on lists, so there is no class.
 """
@@ -21,6 +22,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 QPoly = list[int | Fraction]
+OffsetPoly = tuple[int, QPoly]
 
 
 def qp_normalize(coeffs) -> QPoly:
@@ -38,18 +40,6 @@ def qp_add(a: QPoly, b: QPoly) -> QPoly:
     for i, c in enumerate(b):
         out[i] += c
     return qp_normalize(out)
-
-
-def qp_add_shifted(dst: list[int], src: QPoly, shift: int, emax: int) -> None:
-    """In-place dst += q^shift * src, dropping powers above emax.
-
-    dst must already have length emax + 1.
-    """
-    if shift > emax:
-        return
-    end = min(emax + 1, shift + len(src))
-    # map stops with the shorter slice, so src needs no copy
-    dst[shift:end] = map(add, dst[shift:end], src)
 
 
 def qp_mul(a: QPoly, b: QPoly, emax: int) -> QPoly:
@@ -112,9 +102,9 @@ def qp_power_sums(factors: Iterable[Factor], nmax: int, emax: int) -> list[dict]
     return [{e: v for e, v in terms.items() if v} for terms in power_sums]
 
 
-def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[QPoly]:
+def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[OffsetPoly]:
     """Rows F_0..F_nmax of the product of the factors (see qp_power_sums);
-    F_n is the normalized q-polynomial at z^n, cut at q^emax. By Newton's
+    F_n is the q-polynomial at z^n cut at q^emax, in offset form. By Newton's
     identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m). Integer c
     gives integer rows: the division by n is exact (ArithmeticError otherwise)."""
     merged = Counter(factors)
@@ -124,21 +114,23 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[Q
     power_sums = qp_power_sums(merged, last, emax)
     # F_n has degree at most n times the largest t / r
     slope = max((Fraction(t, r) for r, _, _, t in merged), default=0)
-    rows: list[tuple[int, QPoly]] = [(0, [1])]  # (lowest degree, coefficients from there up)
+    rows: list[OffsetPoly] = [(0, [1])]
     for n in range(1, last + 1):
         top = min(emax, int(n * slope))
         acc = [0] * (top + 1)
         for m in range(1, n + 1):
             low, prev = rows[n - m]
             for shift, coef in power_sums[m].items():
-                if prev and shift + low <= top:
-                    src = prev if coef == 1 else [coef * v for v in prev[: top + 1 - shift - low]]
-                    qp_add_shifted(acc, src, shift + low, top)
+                start = shift + low
+                if prev and start <= top:
+                    # acc += coef q^start prev to q^top; map stops at the shorter input
+                    end = min(top + 1, start + len(prev))
+                    acc[start:end] = map(add, acc[start:end], prev if coef == 1
+                                         else [coef * v for v in prev[: end - start]])
         row = [_divide(v, n) if v else 0 for v in acc]
         low = next((i for i, v in enumerate(row) if v), 0)
         rows.append((low, qp_normalize(row[low:])))
-    rows += [(0, [])] * (nmax - last)
-    return [[0] * low + prev for low, prev in rows]
+    return rows + [(0, []) for _ in range(last, nmax)]
 
 
 def qp_det(matrix: Sequence[Sequence[QPoly]], emax: int) -> QPoly:

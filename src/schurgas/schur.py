@@ -8,8 +8,8 @@ only the previous level's values and the current level's table. It runs on
 ints alone; two thin fronts supply its step: `schur_int_sums` at an integer
 point (for `z_canonical_sums` and the `schur` command, at the D x of
 `clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), with each
-q-polynomial packed into one int at q = 2^W and unpacked at the end (for
-thermo; `schur_qpoly` is its one-shape case).
+q-polynomial packed into one int at q = 2^W and unpacked at the end into
+the kernel's offset form (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
@@ -24,7 +24,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
-from .qpoly import QPoly, qp_det
+from .qpoly import OffsetPoly, qp_det
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
@@ -218,11 +218,11 @@ def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> 
 
 def schur_qpoly_sums(
     exponents: Sequence[int], emax: int, groups: Iterable[Iterable[Partition]]
-) -> list[QPoly]:
+) -> list[OffsetPoly]:
     """For each group of shapes, the sum of s_lam at x_i = q^(e_i) (the e_i
-    nonnegative integers) as an integer coefficient list cut at degree
-    emax >= 0 and normalized, so the zero polynomial is []. A shape with
-    more parts than there are exponents contributes zero.
+    nonnegative integers) as an integer q-polynomial cut at degree emax >= 0,
+    in offset form (low, coeffs), so zero is (0, []). A shape with more parts
+    than there are exponents contributes zero.
 
     The engine runs on ints at q = 2^W (Kronecker substitution), where
     x_j sub is a shift. Coefficients are nonnegative and a shape's sum to
@@ -242,14 +242,15 @@ def schur_qpoly_sums(
     sums = []
     for values in _branching_sums(len(exponents), groups, step):
         packed = sum(values) & ((1 << 8 * width * (emax + 1)) - 1)
-        # sized by the value itself, so the top digit is nonzero: normalized
+        # sized by the value, so the top digit is nonzero; zero low bytes: zero digits
         raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-        sums.append([int.from_bytes(raw[k : k + width], "little")
-                     for k in range(0, len(raw), width)])
+        low = (len(raw) - len(raw.lstrip(b"\0"))) // width
+        sums.append((low, [int.from_bytes(raw[k : k + width], "little")
+                           for k in range(low * width, len(raw), width)]))
     return sums
 
 
-def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> QPoly:
+def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> OffsetPoly:
     """s_lam at x_i = q^(e_i), cut at degree emax: schur_qpoly_sums with one
-    group holding one shape. The zero polynomial is []."""
+    group holding one shape. Zero is (0, [])."""
     return schur_qpoly_sums(exponents, emax, [[lam]])[0]

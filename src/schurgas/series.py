@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .canonical import z_canonical_sums
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
@@ -107,7 +107,7 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
     ints at y = D x (clear_denominators), coefficient n divided by D^n."""
     scale, ys = clear_denominators(as_point(point))
     rows = qp_power_sum_rows(product_factors(kind, [(y, 0) for y in ys]), nmax, 0)
-    return _series(nmax, [Fraction(sum(row), scale ** n) for n, row in enumerate(rows)])
+    return _series(nmax, [Fraction(sum(row), scale ** n) for n, (_, row) in enumerate(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,7 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
 # Identity verification.
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Coefficientwise comparison of the defining sum against a closed form."""
 
     kind: StatisticsKind
@@ -185,12 +184,4 @@ def verify_identity(kind: StatisticsKind, point: Sequence[Rational], nmax: int) 
     lhs = gpf_definition(kind, xs, nmax)
     rhs = gpf_closed_form(kind, xs, nmax)
     mismatch = next((n for n in range(nmax + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
-    return IdentityReport(
-        kind=kind,
-        point=xs,
-        nmax=nmax,
-        lhs=lhs,
-        rhs=rhs,
-        equal=mismatch is None,
-        first_mismatch=mismatch,
-    )
+    return IdentityReport(kind, xs, nmax, lhs, rhs, mismatch is None, mismatch)

@@ -65,9 +65,8 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     """Exact integer polynomials in qh for N = 0..nmax, full degree kept so
     no truncation error enters before the float substitution.
 
-    Each is stored as (d_N, (c_d, c_(d+1), ...)): its lowest degree and its
-    coefficients from there up, so Z_N = qh^(d_N) r_N(qh) with r_N(0) >= 1.
-    The zero polynomial is (0, ()).
+    Each is stored in the producers' offset form as (d_N, (c_d, c_(d+1), ...)),
+    so Z_N = qh^(d_N) r_N(qh) with r_N(0) >= 1. The zero polynomial is (0, ()).
     """
     # No shape of weight n has degree above n * max(exponents), so one cap
     # at nmax keeps every N whole.
@@ -77,8 +76,7 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     else:  # every N shares one branching-rule sweep
         groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
         polys = schur_qpoly_sums(exponents, emax, groups)
-    lows = [next((t for t, c in enumerate(poly) if c), 0) for poly in polys]
-    return tuple((low, tuple(poly[low:])) for low, poly in zip(lows, polys))
+    return tuple((low, tuple(coeffs)) for low, coeffs in polys)
 
 
 def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):

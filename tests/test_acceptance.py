@@ -165,8 +165,8 @@ def test_gate_truncation_stability(capsys):
         assert deep.equal
         for j in range(13):
             for t in range(13):
-                assert deep.bose.coeff(j, t) == shallow.bose.coeff(j, t)
-                assert deep.evencols.coeff(j, t) == shallow.evencols.coeff(j, t)
+                assert deep.bose[j][t] == shallow.bose[j][t]
+                assert deep.evencols[j][t] == shallow.evencols[j][t]
 
     _report(capsys, "deeper truncation keeps shallow coefficients", check)
 

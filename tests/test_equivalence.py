@@ -9,7 +9,6 @@ from schurgas import equivalence
 from schurgas.canonical import z_canonical_qpoly
 from schurgas.cli import run
 from schurgas.equivalence import (
-    BiSeries,
     SpectrumSpec,
     build_spectrum,
     check_equivalence,
@@ -80,17 +79,17 @@ def test_spectrum_accessors():
 def test_bose_biseries_landmark_coefficients():
     qmax = 6
     series = gpf_bose_biseries(build_spectrum("eq1", qmax))
-    assert series.coeff(1, 1) == 1
-    assert series.coeff(1, 5) == 3
-    assert series.coeff(2, 2) == 1
+    assert series[1][1] == 1
+    assert series[1][5] == 3
+    assert series[2][2] == 1
 
 
 def test_evencols_biseries_landmark_coefficients():
     qmax = 6
     series = gpf_evencols_biseries(build_spectrum("eq2", qmax))
-    assert series.coeff(1, 1) == 1
-    assert series.coeff(1, 5) == 3
-    assert series.coeff(1, 0) == 0
+    assert series[1][1] == 1
+    assert series[1][5] == 3
+    assert series[1][0] == 0
 
 
 def test_biseries_structural_invariants():
@@ -99,14 +98,14 @@ def test_biseries_structural_invariants():
         gpf_bose_biseries(build_spectrum("eq1", qmax)),
         gpf_evencols_biseries(build_spectrum("eq2", qmax)),
     ):
-        assert series.coeff(0, 0) == 1
+        assert series[0][0] == 1
         for t in range(1, qmax + 1):
-            assert series.coeff(0, t) == 0
+            assert series[0][t] == 0
         for j in range(qmax + 1):
             for t in range(qmax + 1):
-                assert series.coeff(j, t) >= 0
+                assert series[j][t] >= 0
                 if t < j:
-                    assert series.coeff(j, t) == 0
+                    assert series[j][t] == 0
 
 
 def test_biseries_rejects_mismatched_qmax():
@@ -114,11 +113,13 @@ def test_biseries_rejects_mismatched_qmax():
         gpf_evencols_biseries(build_spectrum("eq1", 4))  # degenerate levels
 
 
-def test_biseries_shape_validation():
-    with pytest.raises(ValueError):
-        BiSeries(1, 1, ((1, 0),))
-    with pytest.raises(ValueError):
-        BiSeries(1, 1, ((1, 0), (0,)))
+@pytest.mark.parametrize("qmax", [1, 2, 5, 13])
+def test_report_tables_are_square(qmax):
+    # qmax + 1 rows a^0..a^qmax, each qmax + 1 wide for q^0..q^qmax
+    report = check_equivalence(qmax)
+    for table in (report.bose, report.evencols):
+        assert len(table) == qmax + 1
+        assert all(len(row) == qmax + 1 for row in table)
 
 
 def test_check_equivalence_small():
@@ -143,8 +144,8 @@ def test_truncation_stability():
     large = check_equivalence(12)
     for j in range(9):
         for t in range(9):
-            assert small.bose.coeff(j, t) == large.bose.coeff(j, t)
-            assert small.evencols.coeff(j, t) == large.evencols.coeff(j, t)
+            assert small.bose[j][t] == large.bose[j][t]
+            assert small.evencols[j][t] == large.evencols[j][t]
 
 
 def test_bose_rows_match_canonical_qpoly():
@@ -155,9 +156,9 @@ def test_bose_rows_match_canonical_qpoly():
     for (_, d), s in zip(spec.levels, spec.alpha_exponents()):
         exps.extend([s] * d)
     for j in range(5):
-        poly = z_canonical_qpoly(BOSE, tuple(exps), j, qmax)
-        padded = list(poly) + [0] * (qmax + 1 - len(poly))
-        assert list(series.coeffs[j]) == padded
+        low, poly = z_canonical_qpoly(BOSE, tuple(exps), j, qmax)
+        padded = [0] * low + poly + [0] * (qmax + 1 - low - len(poly))
+        assert list(series[j]) == padded
 
 
 def test_evencols_rows_match_canonical_qpoly():
@@ -167,16 +168,16 @@ def test_evencols_rows_match_canonical_qpoly():
     exps = spec.alpha_exponents()
     for j in range(4):
         # one power of the pair symbol carries two particles
-        poly = z_canonical_qpoly(EVEN_COLS, exps, 2 * j, qmax)
-        padded = list(poly) + [0] * (qmax + 1 - len(poly))
-        assert list(series.coeffs[j]) == padded
+        low, poly = z_canonical_qpoly(EVEN_COLS, exps, 2 * j, qmax)
+        padded = [0] * low + poly + [0] * (qmax + 1 - low - len(poly))
+        assert list(series[j]) == padded
 
 
 def first_table_mismatch(left, right):
     # the full table scan that decided equal before the power sums did
-    qmax = left.qmax
+    qmax = len(left) - 1
     return next(((j, t) for j in range(qmax + 1) for t in range(qmax + 1)
-                 if left.coeff(j, t) != right.coeff(j, t)), None)
+                 if left[j][t] != right[j][t]), None)
 
 
 @pytest.mark.parametrize("qmax", [1, 2, 3, 5, 8, 13, 21, 34, 55, 80])

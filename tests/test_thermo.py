@@ -245,7 +245,8 @@ def test_product_weights_match_the_engine(kind, family, qmax, nmax):
     exps = build_spectrum(family, qmax).qpoly_exponents()
     groups = [admitted_partitions(parse_kind(kind), n, len(exps)) for n in range(nmax + 1)]
     engine = schur_qpoly_sums(exps, nmax * max(exps), groups)
-    assert dense(_weight_polys(parse_kind(kind), exps, nmax)) == engine
+    assert _weight_polys(parse_kind(kind), exps, nmax) == tuple(
+        (low, tuple(coeffs)) for low, coeffs in engine)
 
 
 def principal_schur(lam, m):
