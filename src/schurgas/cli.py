@@ -19,7 +19,8 @@ from itertools import accumulate
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .canonical import z_canonical
-from .equivalence import build_spectrum, check_equivalence
+from .equivalence import (build_spectrum, check_equivalence, gpf_bose_biseries,
+                          gpf_evencols_biseries)
 from .partitions import check_partition
 from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
 from .series import DivisionInconsistency, gpf_definition, verify_identity
@@ -44,7 +45,8 @@ PARTITIONS_MAX_BOXES = 4000
 PARTITIONS_MAX_SHAPES = 100_000
 PARTITIONS_MAX_PARTS = 3_000_000
 # The `equivalence` envelope, checked before any work: about 1 s of JSON, which
-# expands both (a, q) tables (qmax^3), or of text or CSV (qmax^2, power sums).
+# expands both (a, q) tables (qmax^3), or of text or CSV, which compare the
+# factor multisets and print the audit (about qmax^2 for either verdict).
 EQUIVALENCE_MAX_QMAX = {"json": 160, "csv": 3000, "text": 3000}
 
 
@@ -239,7 +241,8 @@ def _cmd_equivalence(args: argparse.Namespace) -> Output:
     return Output(
         0 if report.equal else 1,
         lambda: {"qmax": report.qmax, "equal": report.equal, "first_mismatch": mismatch,
-                 "bose": report.bose, "evencols": report.evencols,
+                 "bose": gpf_bose_biseries(build_spectrum("eq1", report.qmax)),
+                 "evencols": gpf_evencols_biseries(build_spectrum("eq2", report.qmax)),
                  "degeneracy_table": report.degeneracy_table,
                  "factor_audit": report.factor_audit},
         ("level_index", "energy_halfq", "degeneracy"),

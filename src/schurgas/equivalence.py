@@ -11,8 +11,8 @@ bivariate series in (a, q): a is the Boltzmann symbol absorbing the
 chemical potential, q the step e^{-beta hw}. The Bose series is a product
 of geometric factors (1 - a q^(m+1))^(-d_m); the conjugate-even series is
 a product over level pairs (1 - a q^(s_i + s_j))^(-1). The theorem is that
-the two factor multisets, hence the two series, coincide - checked here by
-the exact integer power sums that fix each truncated series.
+the two factor multisets, hence the two series, coincide - checked here on
+the multisets themselves; the tables are built only to be shown.
 
 Physically a carries e^(-beta(hw/2 - mu)) on the Bose side and
 e^(-beta(hw - 2 mu)) on the pair side; that bookkeeping never enters the
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .qpoly import qp_power_sum_rows, qp_power_sums
+from .qpoly import qp_power_sum_rows
 
 
 def eq1_degeneracy(m: int) -> int:
@@ -130,32 +129,18 @@ def gpf_evencols_biseries(spec: SpectrumSpec) -> Table:
     return _product_biseries(_pair_factors(spec), spec.qmax)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """The verdict `equal` (see check_equivalence), the per-level degeneracies
-    and a factor-multiplicity audit: for each q-exponent t, the Bose
-    multiplicity (degeneracy of the level feeding q^t) against the number of
-    pairs summing to t. Matching audits imply matching series. The tables
-    `bose` and `evencols`, and the `first_mismatch` found by scanning them,
-    are built from each side's factors on first access."""
+class EquivalenceReport(NamedTuple):
+    """The verdict `equal` and the first differing cell `first_mismatch`
+    (see check_equivalence), the per-level degeneracies and a
+    factor-multiplicity audit: for each q-exponent t, the Bose multiplicity
+    (degeneracy of the level feeding q^t) against the number of pairs summing
+    to t. Matching audits imply matching series."""
 
     qmax: int
     equal: bool
+    first_mismatch: tuple[int, int] | None
     degeneracy_table: tuple[tuple[int, int], ...]
     factor_audit: tuple[tuple[int, int, int], ...]
-    bose_factors: Counter = field(repr=False)
-    pair_factors: Counter = field(repr=False)
-
-    bose = cached_property(lambda self: _product_biseries(self.bose_factors, self.qmax))
-    evencols = cached_property(lambda self: _product_biseries(self.pair_factors, self.qmax))
-
-    @cached_property
-    def first_mismatch(self) -> tuple[int, int] | None:
-        """(j, t) of the first differing coefficient, row by row."""
-        if self.equal:
-            return None
-        cells = product(range(self.qmax + 1), repeat=2)
-        return next((j, t) for j, t in cells if self.bose[j][t] != self.evencols[j][t])
 
 
 def _pair_count(t: int) -> int:
@@ -166,19 +151,20 @@ def _pair_count(t: int) -> int:
 
 def check_equivalence(qmax: int) -> EquivalenceReport:
     """Compare both grand series to order (a^qmax, q^qmax). Each is a product
-    of geometric factors, so by Newton's identities its truncated table and
-    its truncated power sums Q_1..Q_qmax fix each other: the tables agree
-    exactly when the power sums do. `equal` compares those, about qmax^2
-    work against qmax^3 for the tables, which the report builds only when
-    asked. Inequality is reported, not raised."""
+    of factors (1 - a q^t)^(-1) with 1 <= t <= qmax, so the a^1 row of its
+    table is sum_t mult_t q^t, and that row fixes the whole table (Macdonald
+    I.2): the tables agree exactly when the factor multisets do. Otherwise
+    they first differ, row by row, at a^1 q^t for the least t whose
+    multiplicities differ. No table is built. Inequality is reported, not
+    raised."""
     spec1 = build_spectrum("eq1", qmax)
     spec2 = build_spectrum("eq2", qmax)
     bose, pairs = _bose_factors(spec1), _pair_factors(spec2)
+    t = min((f[3] for f in bose.keys() | pairs.keys() if bose[f] != pairs[f]), default=None)
     return EquivalenceReport(
         qmax=qmax,
-        equal=qp_power_sums(bose, qmax, qmax) == qp_power_sums(pairs, qmax, qmax),
+        equal=t is None,
+        first_mismatch=None if t is None else (1, t),
         degeneracy_table=tuple((m, d) for m, (_, d) in enumerate(spec1.levels)),
         factor_audit=tuple((t, d, _pair_count(t)) for t, (_, d) in enumerate(spec1.levels, 1)),
-        bose_factors=bose,
-        pair_factors=pairs,
     )

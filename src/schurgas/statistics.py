@@ -97,19 +97,9 @@ def parse_kind(text: str) -> StatisticsKind:
     head, _, rest = text.partition(":")
     try:
         params = [int(s) for s in rest.split(":")] if rest else []
-        if head in ("parafermi", "parabose"):
-            if len(params) != 1:
-                raise ValueError(f"{head} needs exactly one order: {text!r}")
-            return StatisticsKind(head, p=params[0])
-        if head == "pq":
-            if len(params) != 2:
-                raise ValueError(f"pq needs two bounds: {text!r}")
-            return StatisticsKind(head, p=params[0], q=params[1])
-        if params:
-            raise ValueError(f"{head} takes no parameters: {text!r}")
-        return StatisticsKind(head)
-    except UnsupportedKind:
-        raise
+        if len(params) > 2:
+            raise ValueError(f"at most two parameters: {text!r}")
+        return StatisticsKind(head, *params)
     except ValueError as exc:
         raise UnsupportedKind(str(exc)) from None
 

@@ -12,7 +12,8 @@ import time
 from fractions import Fraction
 
 from schurgas.canonical import z_canonical
-from schurgas.equivalence import build_spectrum, check_equivalence
+from schurgas.equivalence import (build_spectrum, check_equivalence, gpf_bose_biseries,
+                                  gpf_evencols_biseries)
 from schurgas.partitions import gen_partitions
 from schurgas.schur import kostka, monomial_sym, schur_bialternant, schur_tableau
 from schurgas.series import gpf_definition, gpf_parafermi_det, gpf_product, verify_identity
@@ -160,13 +161,13 @@ def test_gate_spectrum_equivalence(capsys):
 
 def test_gate_truncation_stability(capsys):
     def check():
-        shallow = check_equivalence(12)
-        deep = check_equivalence(16)
-        assert deep.equal
-        for j in range(13):
-            for t in range(13):
-                assert deep.bose[j][t] == shallow.bose[j][t]
-                assert deep.evencols[j][t] == shallow.evencols[j][t]
+        shallow, deep = ((gpf_bose_biseries(build_spectrum("eq1", qmax)),
+                          gpf_evencols_biseries(build_spectrum("eq2", qmax))) for qmax in (12, 16))
+        assert check_equivalence(16).equal
+        for shallow_table, deep_table in zip(shallow, deep):
+            for j in range(13):
+                for t in range(13):
+                    assert deep_table[j][t] == shallow_table[j][t]
 
     _report(capsys, "deeper truncation keeps shallow coefficients", check)
 

@@ -1,4 +1,5 @@
 
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -108,16 +109,21 @@ def test_biseries_structural_invariants():
                     assert series[j][t] == 0
 
 
-def test_biseries_rejects_mismatched_qmax():
+def test_evencols_biseries_rejects_degenerate_levels():
     with pytest.raises(ValueError):
         gpf_evencols_biseries(build_spectrum("eq1", 4))  # degenerate levels
 
 
+def tables(qmax):
+    # the two grand-series tables the JSON record prints
+    return (gpf_bose_biseries(build_spectrum("eq1", qmax)),
+            gpf_evencols_biseries(build_spectrum("eq2", qmax)))
+
+
 @pytest.mark.parametrize("qmax", [1, 2, 5, 13])
-def test_report_tables_are_square(qmax):
+def test_biseries_tables_are_square(qmax):
     # qmax + 1 rows a^0..a^qmax, each qmax + 1 wide for q^0..q^qmax
-    report = check_equivalence(qmax)
-    for table in (report.bose, report.evencols):
+    for table in tables(qmax):
         assert len(table) == qmax + 1
         assert all(len(row) == qmax + 1 for row in table)
 
@@ -140,12 +146,12 @@ def test_factor_multiset_identity():
 
 
 def test_truncation_stability():
-    small = check_equivalence(8)
-    large = check_equivalence(12)
+    small_bose, small_evencols = tables(8)
+    large_bose, large_evencols = tables(12)
     for j in range(9):
         for t in range(9):
-            assert small.bose[j][t] == large.bose[j][t]
-            assert small.evencols[j][t] == large.evencols[j][t]
+            assert small_bose[j][t] == large_bose[j][t]
+            assert small_evencols[j][t] == large_evencols[j][t]
 
 
 def test_bose_rows_match_canonical_qpoly():
@@ -174,17 +180,17 @@ def test_evencols_rows_match_canonical_qpoly():
 
 
 def first_table_mismatch(left, right):
-    # the full table scan that decided equal before the power sums did
+    # the row-by-row table scan that the multiset decision must agree with
     qmax = len(left) - 1
     return next(((j, t) for j in range(qmax + 1) for t in range(qmax + 1)
                  if left[j][t] != right[j][t]), None)
 
 
 @pytest.mark.parametrize("qmax", [1, 2, 3, 5, 8, 13, 21, 34, 55, 80])
-def test_power_sum_decision_matches_the_tables(qmax):
+def test_multiset_decision_matches_the_tables(qmax):
     report = check_equivalence(qmax)
     assert report.equal
-    assert first_table_mismatch(report.bose, report.evencols) is None
+    assert first_table_mismatch(*tables(qmax)) is None
 
 
 def test_pair_factors_match_every_level_pair():
@@ -196,35 +202,79 @@ def test_pair_factors_match_every_level_pair():
         assert equivalence._pair_factors(spec) == every, qmax
 
 
-def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):
+# the originals, taken before any test patches them
+PAIR_FACTORS = equivalence._pair_factors
+PRODUCT_BISERIES = equivalence._product_biseries
+
+
+def perturbed_pair_factors(spec):
     # one pair factor moved from q^5 to q^6: the tables first differ in row 1
-    pair_factors = equivalence._pair_factors
+    pairs = PAIR_FACTORS(spec)
+    pairs[(1, 1, 1, 5)] -= 1
+    pairs[(1, 1, 1, 6)] += 1
+    return pairs
 
-    def perturbed(spec):
-        pairs = pair_factors(spec)
-        pairs[(1, 1, 1, 5)] -= 1
-        pairs[(1, 1, 1, 6)] += 1
-        return pairs
 
-    monkeypatch.setattr(equivalence, "_pair_factors", perturbed)
+def refuse_tables(*args):
+    raise AssertionError("a coefficient table was built")
+
+
+def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):
+    monkeypatch.setattr(equivalence, "_pair_factors", perturbed_pair_factors)
     qmax = 12
     report = check_equivalence(qmax)
     bose = equivalence._bose_factors(build_spectrum("eq1", qmax))
-    pairs = perturbed(build_spectrum("eq2", qmax))
+    pairs = perturbed_pair_factors(build_spectrum("eq2", qmax))
     assert qp_power_sums(bose, qmax, qmax) != qp_power_sums(pairs, qmax, qmax)
     assert not report.equal
-    tables = first_table_mismatch(report.bose, equivalence._product_biseries(pairs, qmax))
-    assert report.first_mismatch == tables == (1, 5)
+    scan = first_table_mismatch(tables(qmax)[0], PRODUCT_BISERIES(pairs, qmax))
+    assert report.first_mismatch == scan == (1, 5)
+
+
+def test_multiset_decision_matches_the_table_scan():
+    # random factor multisets (1 - a q^t)^(-1), 1 <= t <= qmax, against
+    # perturbations of themselves; some perturbations cancel or only add a
+    # zero multiplicity, so equal verdicts are drawn too. No table may be
+    # built for the verdict or its first mismatch.
+    rng = random.Random(25)
+    verdicts = Counter()
+    for _ in range(600):
+        qmax = rng.randint(1, 12)
+        bose = +Counter({(1, 1, 1, t): rng.randint(0, 3) for t in range(1, qmax + 1)})
+        pairs = Counter(bose)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            t = (1, 1, 1, rng.randint(1, qmax))
+            pairs[t] = max(0, pairs[t] + rng.choice([-1, 0, 1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equivalence, "_bose_factors", lambda spec: bose)
+            mp.setattr(equivalence, "_pair_factors", lambda spec: pairs)
+            mp.setattr(equivalence, "_product_biseries", refuse_tables)
+            report = check_equivalence(qmax)
+            verdict = report.equal, report.first_mismatch
+        scan = first_table_mismatch(PRODUCT_BISERIES(bose, qmax), PRODUCT_BISERIES(pairs, qmax))
+        assert verdict == (scan is None, scan), (qmax, bose, pairs)
+        verdicts[verdict[0]] += 1
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_text_and_csv_build_no_table(capsys, monkeypatch, fmt):
-    def refuse(*args):
-        raise AssertionError("a coefficient table was built")
-
-    monkeypatch.setattr(equivalence, "_product_biseries", refuse)
+    monkeypatch.setattr(equivalence, "_product_biseries", refuse_tables)
     assert run(["equivalence", "--qmax", "30", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert out.startswith("qmax = 30\nequal = True\n" if fmt == "text" else "level_index,")
     with pytest.raises(AssertionError, match="table was built"):
         run(["equivalence", "--qmax", "3", "--format", "json"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_unequal_verdict_builds_no_table(capsys, monkeypatch, fmt):
+    # an unequal verdict costs what an equal one does, well inside the envelope
+    monkeypatch.setattr(equivalence, "_pair_factors", perturbed_pair_factors)
+    monkeypatch.setattr(equivalence, "_product_biseries", refuse_tables)
+    assert run(["equivalence", "--qmax", "300", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out.startswith("qmax = 300\nequal = False\nfirst mismatch at a^1 q^5\n")
+    else:
+        assert out.startswith("level_index,")

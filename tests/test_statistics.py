@@ -101,7 +101,8 @@ def test_kind_grammar_round_trip():
 
 
 def test_parse_kind_rejects_garbage():
-    for bad in ("boltzmann", "parafermi", "parafermi:0", "pq:2", "pq:0:1", "parabose:x"):
+    for bad in ("boltzmann", "parafermi", "parafermi:0", "parafermi:2:3", "pq:2", "pq:0:1",
+                "pq:1:2:3", "parabose:x", "bose:1", "parabose:0"):
         with pytest.raises(UnsupportedKind):
             parse_kind(bad)
 
