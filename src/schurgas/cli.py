@@ -26,7 +26,7 @@ from .schur import DistinctnessViolation, clear_denominators, schur_bialternant,
 from .series import DivisionInconsistency, gpf_definition, verify_identity
 from .statistics import (UnsupportedKind, admitted_count, admitted_partitions, kind_name,
                          parse_kind, shape_bounds)
-from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, solve_mu
+from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, evaluate_at_target
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
@@ -258,10 +258,10 @@ def _cmd_equivalence(args: argparse.Namespace) -> Output:
 def _cmd_thermo(args: argparse.Namespace) -> Output:
     spec = build_spectrum(args.spectrum, args.qmax)
     if args.target_n is not None:
-        mu = solve_mu(args.kind, spec, args.beta, args.target_n, args.nmax)
+        mu, r = evaluate_at_target(args.kind, spec, args.beta, args.target_n, args.nmax)
     else:
         mu = args.mu
-    r = evaluate(args.kind, spec, ThermoParams(args.beta, mu, args.nmax))
+        r = evaluate(args.kind, spec, ThermoParams(args.beta, mu, args.nmax))
     return Output(
         0,
         lambda: {"kind": kind_name(args.kind), "spectrum": args.spectrum, "qmax": args.qmax,

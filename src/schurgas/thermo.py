@@ -3,22 +3,23 @@
 Everything upstream is exact; floating point enters only here, at the final
 substitution. For a spectrum on the half-quantum grid the N-particle weight
 is an integer polynomial in qh = e^(-beta hw / 2), computed once per
-(statistics, spectrum, truncation), from a closed product where there is
-one, and cached. The Horner passes at qh depend on beta alone, so the
-mu-solver does them once per solve and only the per-mu sums at each step.
+(statistics, spectrum, truncation) and cached. One Horner pass at qh gives
+every term that depends on beta alone, each sector's mean energy among
+them, so a request makes it once and each mu-solver step only the per-mu sums.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .equivalence import SpectrumSpec
-from .qpoly import qp_eval_float, qp_power_sum_rows, qp_weighted_eval_float
+from .qpoly import qp_power_sum_rows
 from .schur import schur_qpoly_sums
-from .series import PRODUCT_FAMILIES, product_factors
+from .series import product_factors
 from .statistics import StatisticsKind, admitted_partitions
 
 TAIL_BOUND = 1e-9
@@ -35,6 +36,13 @@ class BracketFailure(ArithmeticError):
     """The mu search could not bracket the target mean particle number."""
 
 
+def _check_beta_nmax(beta_hw: float, nmax: int) -> None:
+    if not (beta_hw > 0 and math.isfinite(beta_hw)):
+        raise ValueError("beta_hw must be positive and finite")
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
+
+
 @dataclass(frozen=True)
 class ThermoParams:
     beta_hw: float
@@ -42,14 +50,11 @@ class ThermoParams:
     nmax: int
 
     def __post_init__(self):
-        if not (self.beta_hw > 0 and math.isfinite(self.beta_hw)):
-            raise ValueError("beta_hw must be positive and finite")
+        _check_beta_nmax(self.beta_hw, self.nmax)
         if not math.isfinite(self.mu_over_hw):
             raise ValueError("mu_over_hw must be finite")
         if not math.isfinite(self.beta_hw * self.mu_over_hw):
             raise ValueError("beta_hw * mu_over_hw (log fugacity) must be finite")
-        if self.nmax < 1:
-            raise ValueError("nmax must be at least 1")
 
 
 class ThermoResult(NamedTuple):
@@ -71,7 +76,7 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     # No shape of weight n has degree above n * max(exponents), so one cap
     # at nmax keeps every N whole.
     emax = nmax * max(exponents)
-    if kind.family in PRODUCT_FAMILIES:  # one table from the closed product
+    if kind.family in ("hst", "even-rows", "even-cols"):  # the closed product builds faster
         polys = qp_power_sum_rows(product_factors(kind, [(1, e) for e in exponents]), nmax, emax)
     else:  # every N shares one branching-rule sweep
         groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
@@ -79,43 +84,62 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     return tuple((low, tuple(coeffs)) for low, coeffs in polys)
 
 
+def _horner_with_slope(coeffs, q: float) -> tuple[float, float]:
+    """r(q) and q r'(q) of the polynomial with these coefficients, together
+    in one Horner loop."""
+    value = slope = 0.0
+    for c in reversed(coeffs):
+        slope = slope * q + value
+        value = value * q + c
+    return value, slope * q
+
+
 def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):
-    """The beta-only half of evaluate: the polys, qh, r_N(qh) and each N's
-    two terms of log qh^(d_N) r_N(qh), d_N beta/2 and log r_N(qh), the second
-    None for an N without states (r_N(qh) >= 1 for every N with states)."""
-    polys = _weight_polys(kind, spec.qpoly_exponents(), nmax)
+    """The beta-only half of evaluate: each N's terms (a_N, b_N, e_N) of
+    log qh^(d_N) r_N(qh) = -a_N + b_N, a_N = d_N beta/2 and b_N = log r_N(qh),
+    and of its mean energy in hw units, e_N = d_N/2 + qh r_N'(qh) / (2 r_N(qh))
+    (the q^t coefficient carries energy t/2). b_N is None for an N without
+    states; r_N(qh) >= 1 for every N with states."""
     qh = math.exp(-beta_hw / 2)
+    terms = []
     try:
-        values = [qp_eval_float(r, qh) for _, r in polys]
-    except OverflowError:  # a coefficient beyond float range
-        values = [math.inf]
-    if math.inf in values:
+        for low, r in _weight_polys(kind, spec.qpoly_exponents(), nmax):
+            value, slope = _horner_with_slope(r, qh)
+            if not (value < math.inf and slope < math.inf):
+                raise OverflowError
+            terms.append((low * beta_hw / 2, math.log(value), low / 2 + 0.5 * slope / value)
+                          if value > 0.0 else (low * beta_hw / 2, None, 0.0))
+    except OverflowError:  # a coefficient or a value beyond float range
         raise TruncationTail("canonical weight exceeded float range; reduce nmax or beta")
-    terms = [(low * beta_hw / 2, math.log(v) if v > 0.0 else None)
-             for (low, _), v in zip(polys, values)]
-    return polys, qh, values, terms
+    return terms
 
 
-def _mu_sums(terms, params: ThermoParams):
+def _mu_sums(terms, beta_hw: float, mu_over_hw: float):
     """The mu half of evaluate, all the mu-solver needs: the mean N, the
     weights z^N Z_N / e^top, their total and top."""
-    logz = params.beta_hw * params.mu_over_hw
+    logz = beta_hw * mu_over_hw
     # Log weights, log z^N qh^(d_N) r_N(qh), so that neither an extreme
     # fugacity nor a ground energy far above 1/beta (qh^(d_N) would
     # underflow) leaves float range before the tail check can classify the point.
-    logw = [n * logz - a + b if b is not None else None for n, (a, b) in enumerate(terms)]
+    logw = [n * logz - a + b if b is not None else None for n, (a, b, _) in enumerate(terms)]
     top = max(lw for lw in logw if lw is not None)
     if not math.isfinite(top):
         raise TruncationTail("grand canonical weight exceeded float range; reduce nmax or mu")
     scaled = [math.exp(lw - top) if lw is not None else 0.0 for lw in logw]
     total = math.fsum(scaled)
-    if not scaled[params.nmax] < TAIL_BOUND * total:
+    if not scaled[-1] < TAIL_BOUND * total:
         raise TruncationTail(
-            f"tail fraction {scaled[params.nmax] / total:.3e} at "
-            f"mu/hw = {params.mu_over_hw}; increase nmax or lower mu"
+            f"tail fraction {scaled[-1] / total:.3e} at "
+            f"mu/hw = {mu_over_hw}; increase nmax or lower mu"
         )
     mean_n = math.fsum(n * w for n, w in enumerate(scaled)) / total
     return mean_n, scaled, total, top
+
+
+def _result(terms, sums) -> ThermoResult:
+    mean_n, scaled, total, top = sums
+    mean_e = math.fsum(w * e for (_, _, e), w in zip(terms, scaled) if w) / total
+    return ThermoResult(top + math.log(total), mean_n, mean_e)
 
 
 def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> ThermoResult:
@@ -123,18 +147,8 @@ def evaluate(kind: StatisticsKind, spec: SpectrumSpec, params: ThermoParams) -> 
     qh = e^(-beta hw/2), with the mean particle number and the mean energy
     in units of hw. Raises TruncationTail unless the last term is below
     TAIL_BOUND of the total."""
-    polys, qh, values, terms = _beta_terms(kind, spec, params.beta_hw, params.nmax)
-    mean_n, scaled, total, top = _mu_sums(terms, params)
-    # half-quantum grid: energy in hw units is t/2 for the q^t coefficient,
-    # so the per-N mean energy is d_N/2 plus a ratio of same-scale sums
-    mean_e = (
-        math.fsum(
-            w * (low / 2 + qp_weighted_eval_float(r, qh, 0.5) / v) if w else 0.0
-            for (low, r), v, w in zip(polys, values, scaled)
-        )
-        / total
-    )
-    return ThermoResult(top + math.log(total), mean_n, mean_e)
+    terms = _beta_terms(kind, spec, params.beta_hw, params.nmax)
+    return _result(terms, _mu_sums(terms, params.beta_hw, params.mu_over_hw))
 
 
 def solve_mu(
@@ -145,74 +159,80 @@ def solve_mu(
     nmax: int,
 ) -> float:
     """Chemical potential (in hw units) at which the mean particle number
-    hits the target to MU_REL_TOL * max(1, target): relative above a target
-    of 1 and absolute below, so a target of 1e-300 may end at mean 0.0.
-    Bisection, on the mean number alone, over a bracket found by doubling
-    steps; the beta-only terms are computed once, so each point costs only
-    the per-mu sums. The mean must not decrease along the upward hunt, else
-    BracketFailure. Points failing the truncation check count as above the
-    target, so the search backs away; a target beyond them, TruncationTail."""
+    meets the target to MU_REL_TOL * target; a target below the least normal
+    float is a ValueError. From a dilute start, Newton steps on ln N, with
+    d ln N / d mu = beta Var(N) / N from the per-mu sums. Until the target
+    is bracketed, a step that is missing (Var N = 0), not finite, or longer
+    than the hunt's at a Fano factor below 1/4 gives way to a doubling hunt,
+    up or down; then one that leaves the bracket gives way to bisection, and
+    a point past the tail wall to a doubling step back. The mean must not
+    fall while mu rises, else BracketFailure. Points failing the truncation
+    check count as above the target, so the search backs away; a target
+    beyond them, TruncationTail. One beta pass serves every step."""
+    return evaluate_at_target(kind, spec, beta_hw, target_mean_n, nmax)[0]
+
+
+def evaluate_at_target(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float,
+                       target_mean_n: float, nmax: int) -> tuple[float, ThermoResult]:
+    """solve_mu's chemical potential and the evaluate result there, from one
+    beta pass and the per-mu sums at the solve's last point."""
     if not (target_mean_n > 0 and math.isfinite(target_mean_n)):
         raise ValueError("target mean particle number must be positive and finite")
-    tol = MU_REL_TOL * max(1.0, target_mean_n)
-    ThermoParams(beta_hw, 0.0, nmax)  # beta and nmax, checked before any work
-    terms = _beta_terms(kind, spec, beta_hw, nmax)[3]
-
-    def mean_at(mu: float) -> float | None:
-        try:
-            return _mu_sums(terms, ThermoParams(beta_hw, mu, nmax))[0]
-        except TruncationTail:
-            return None
-
-    # occupation ~ e^-50 here: far below any sane target, and always feasible
-    start = spec.levels[0][0] / 2 - 50.0 / beta_hw
-    f0 = mean_at(start)
-    if f0 is None:
-        raise TruncationTail("truncation fails even in the dilute limit; increase nmax")
-    lo = hi = start
-    f_lo = f_hi = f0
+    if target_mean_n < sys.float_info.min:
+        raise ValueError(f"target mean particle number {target_mean_n!r} is below "
+                         f"the least normal float, {sys.float_info.min!r}")
+    _check_beta_nmax(beta_hw, nmax)  # before any work
+    terms = _beta_terms(kind, spec, beta_hw, nmax)
+    lo = f_lo = hi = None  # the nearest mu known below the target, its mean, and above
     step = 1.0 / beta_hw
     hunts = 0
-    # Upward hunt; a tail-bound wall stops it, and the target then lies below.
-    while f_hi is not None and f_hi < target_mean_n:
-        hunts += 1
-        if hunts > 200:
-            raise BracketFailure(
-                f"no bracket after 200 upward steps (last mean {f_lo}); "
-                f"target {target_mean_n} looks unreachable (saturation?)"
-            )
-        lo, f_lo = hi, f_hi
-        hi += step
-        step *= 2.0
-        f_hi = mean_at(hi)
-        if f_hi is not None and f_hi < f_lo - 1e-9 * max(1.0, abs(f_lo)):
-            raise BracketFailure(f"mean number fell from {f_lo} to {f_hi} while raising mu")
-    # Every Z_N >= 0, so the tail fraction grows with z: below a feasible
-    # point every point is feasible.
-    while f_lo > target_mean_n:
-        hunts += 1
-        if hunts > 200:
-            raise BracketFailure(f"no lower bracket for target {target_mean_n}")
-        hi, f_hi = lo, f_lo
-        lo -= step
-        step *= 2.0
-        f_lo = mean_at(lo)
-
-    wall_hit = f_hi is None
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        f_mid = mean_at(mid)
-        if f_mid is None:
-            wall_hit = True
-            hi = mid
-        elif abs(f_mid - target_mean_n) <= tol:
-            return mid
-        elif f_mid < target_mean_n:
-            lo = mid
+    wall_hit = False
+    # occupation ~ e^-50 here: far below any sane target, and always feasible
+    mu = spec.levels[0][0] / 2 - 50.0 / beta_hw
+    for _ in range(600):
+        try:
+            sums = _mu_sums(terms, beta_hw, mu)
+        except TruncationTail:
+            if lo is None and hi is None:
+                raise TruncationTail("truncation fails even in the dilute limit; "
+                                     "increase nmax") from None
+            sums = None
+        mean = sums[0] if sums else None
+        if sums and abs(mean - target_mean_n) <= MU_REL_TOL * target_mean_n:
+            return mu, _result(terms, sums)
+        if not sums or mean > target_mean_n:
+            hi, wall_hit = mu, wall_hit or not sums
+        elif f_lo is not None and mean < f_lo - 1e-9 * max(1.0, abs(f_lo)):
+            raise BracketFailure(f"mean number fell from {f_lo} to {mean} while raising mu")
         else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
+            lo, f_lo = mu, mean
+        # The Newton step; Var(N) centred, so a sharp distribution's small
+        # variance is not a difference of two nearly equal moments.
+        var = (math.fsum((n - mean) ** 2 * w for n, w in enumerate(sums[1])) / sums[2]
+               if sums else 0.0)
+        nxt = (mu - (math.log(mean) - math.log(target_mean_n)) * mean / (beta_hw * var)
+               if var > 0.0 and mean > 0.0 else math.nan)
+        # usable if it moves and keeps the largest log weight, about nmax beta mu, finite
+        newton = math.isfinite(nmax * beta_hw * nxt) and nxt != mu
+        if lo is None or hi is None:
+            hunts += 1
+            if hunts > 200:
+                raise BracketFailure(
+                    f"no lower bracket for target {target_mean_n}" if lo is None else
+                    f"no bracket after 200 upward steps (last mean {f_lo}); "
+                    f"target {target_mean_n} looks unreachable (saturation?)")
+            # Unbracketed, a step is trusted within the hunt's step or at a Fano
+            # factor Var(N) / N of 1/4 or more: a pinned N (a filled shell) has a
+            # flat ln N whose tangent cannot say where the next shell opens.
+            if not (newton and (4.0 * var >= mean or abs(nxt - mu) <= step)):
+                nxt = lo + step if hi is None else hi - step  # the doubling hunt
+                step *= 2.0
+        elif hi - lo < 1e-15 * max(1.0, abs(lo), abs(hi)):
             break
+        elif not (newton and lo < nxt < hi):  # bisection, or a step back from the wall
+            nxt = 0.5 * (lo + hi) if sums else max(0.5 * (lo + hi), hi - step)
+            step *= 2.0
+        mu = nxt
     if wall_hit:
         raise TruncationTail(
             f"target {target_mean_n} lies beyond the truncation-feasible region"

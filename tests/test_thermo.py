@@ -1,19 +1,26 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
+import json
 import math
+import sys
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
-import schurgas.qpoly
 import schurgas.thermo
 from schurgas.cli import run
 from schurgas.equivalence import SpectrumSpec, build_spectrum
 from schurgas.partitions import conjugate
+from schurgas.qpoly import qp_power_sum_rows, qp_weighted_eval_float
 from schurgas.schur import schur_qpoly_sums
+from schurgas.series import product_factors
 from schurgas.statistics import BOSE, FERMI, admitted_partitions, parse_kind
 from schurgas.thermo import (
+    MU_REL_TOL,
     BracketFailure,
     ThermoParams,
     TruncationTail,
@@ -111,7 +118,22 @@ def test_solve_mu_rejects_non_finite_target():
 def test_solve_mu_tiny_target_uses_downward_hunt():
     mu = solve_mu(BOSE, SINGLE, 1.0, 1e-25, 16)
     got = evaluate(BOSE, SINGLE, ThermoParams(1.0, mu, 16)).mean_n
-    assert abs(got - 1e-25) <= 1e-8
+    assert abs(got - 1e-25) <= 1e-8 * 1e-25
+
+
+def test_tiny_targets_are_met_relative_to_the_target(capsys):
+    # the tolerance is relative at every size, down to the least normal float
+    argv = ["thermo", "--kind", "fermi", "--spectrum", "eq2", "--beta", "1", "--qmax", "4",
+            "--nmax", "8", "--format", "json", "--target-n"]
+    for target in (1e-300, sys.float_info.min):
+        assert run(argv + [repr(target)]) == 0
+        got = json.loads(capsys.readouterr().out)["mean_n"]
+        assert abs(got - target) <= MU_REL_TOL * target
+    for target in ("1e-310", "5e-324"):
+        assert run(argv + [target]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: target mean particle number {float(target)!r} is below the "
+                       f"least normal float, {sys.float_info.min!r}\n")
 
 
 def test_mean_energy_tracks_spectrum():
@@ -173,24 +195,6 @@ def test_beta_only_overflow_reaches_the_solver_caller(monkeypatch, coeffs, beta)
     assert str(info.value) == "canonical weight exceeded float range; reduce nmax or beta"
 
 
-@pytest.mark.parametrize("kind,spec,beta,nmax", [
-    ("fermi", build_spectrum("eq2", 6), 1.0, 24),
-    ("parafermi:2", build_spectrum("eq2", 6), 1.25, 28),
-])
-def test_solve_mu_runs_one_horner_pass_per_sector(monkeypatch, kind, spec, beta, nmax):
-    calls = []
-    horner = schurgas.qpoly.qp_eval_float
-
-    def counted(*args):
-        calls.append(args)
-        return horner(*args)
-
-    for module in (schurgas.qpoly, schurgas.thermo):
-        monkeypatch.setattr(module, "qp_eval_float", counted)
-    solve_mu(parse_kind(kind), spec, beta, 2.0, nmax)
-    assert len(calls) == nmax + 1
-
-
 def dense(polys):
     """The weight polynomials as plain coefficient lists from q^0."""
     return [[0] * low + list(coeffs) for low, coeffs in polys]
@@ -240,11 +244,15 @@ def test_weight_polys_digest():
 @pytest.mark.parametrize("family,qmax,nmax", [("eq1", 3, 12), ("eq1", 4, 8), ("eq2", 4, 10),
                                               ("eq2", 2, 12)])
 def test_product_weights_match_the_engine(kind, family, qmax, nmax):
-    # the five product kinds build from their closed product; the
-    # branching-rule engine over the admitted shapes must give the same rows
+    # the five product kinds have a closed product, which builds hst, even-rows
+    # and even-cols; bose and fermi build on the branching-rule engine over the
+    # admitted shapes. Both routes give the same rows, and the cache holds them.
     exps = build_spectrum(family, qmax).qpoly_exponents()
+    emax = nmax * max(exps)
     groups = [admitted_partitions(parse_kind(kind), n, len(exps)) for n in range(nmax + 1)]
-    engine = schur_qpoly_sums(exps, nmax * max(exps), groups)
+    engine = schur_qpoly_sums(exps, emax, groups)
+    product = product_factors(parse_kind(kind), [(1, e) for e in exps])
+    assert qp_power_sum_rows(product, nmax, emax) == engine
     assert _weight_polys(parse_kind(kind), exps, nmax) == tuple(
         (low, tuple(coeffs)) for low, coeffs in engine)
 
@@ -364,35 +372,112 @@ def reference_solve_mu(kind, spec, beta_hw, target_mean_n, nmax):
     ("fermi", build_spectrum("eq2", 7), 1.0, 9.0, 32),  # saturation
 ])
 def test_solve_mu_matches_a_bisection_on_evaluate(kind, spec, beta, target, nmax):
+    # where the old bisection fails, solve_mu fails alike, message and all;
+    # where it succeeds, solve_mu meets the tolerance relative to the target
     args = (parse_kind(kind), spec, beta, target, nmax)
     try:
-        want = reference_solve_mu(*args)
+        reference_solve_mu(*args)
     except (TruncationTail, BracketFailure) as exc:
         with pytest.raises(type(exc)) as info:
             solve_mu(*args)
         assert str(info.value) == str(exc)
     else:
-        assert solve_mu(*args).hex() == want.hex()
+        mu = solve_mu(*args)
+        got = evaluate(parse_kind(kind), spec, ThermoParams(beta, mu, nmax)).mean_n
+        assert abs(got - target) <= MU_REL_TOL * target
 
 
-def test_target_solve_computes_the_energy_only_at_the_reported_point(monkeypatch):
-    calls = []
-    weighted = schurgas.qpoly.qp_weighted_eval_float
+def load_bench_workloads():
+    """perfbench/workloads.py, read without changing it (as
+    tests/test_bench_contract.py reads spans.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass resolves its module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# The old bisection took about 35 mean-N passes a solve on both grids (at most
+# 38). Newton steps took 4,614 over these 960 solves, at most 8 in one; the
+# bounds: at most 6 a solve on average, and never more than a third of 35.
+GRID_MEAN_PASSES = 6
+GRID_MAX_PASSES = 11
+
+
+def test_solve_mu_meets_every_benchmark_target_in_few_passes(monkeypatch):
+    wl = load_bench_workloads()
+    grid = [(kind, spectrum, qmax, nmax, beta, target)
+            for regime, keys in wl.COLD_CLASSES for kind, spectrum, qmax, nmax in keys
+            for beta in wl.COLD_BETAS for target in wl.COLD_TARGETS[regime]]
+    grid += [(kind, spectrum, qmax, nmax, beta, target)
+             for kind, spectrum, qmax, nmax, targets in wl.WARM_KEYS
+             for beta in wl.WARM_BETAS for target in targets]
+    assert len(grid) == 960
+    passes = []
+    mu_sums = schurgas.thermo._mu_sums
 
     def counted(*args):
-        calls.append(args)
-        return weighted(*args)
+        passes[-1] += 1
+        return mu_sums(*args)
 
-    for module in (schurgas.qpoly, schurgas.thermo):
-        monkeypatch.setattr(module, "qp_weighted_eval_float", counted)
-    argv = ["thermo", "--kind", "hst", "--spectrum", "eq2", "--beta", "1.25", "--qmax", "3",
-            "--nmax", "14", "--target-n", "0.15"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run(argv) == 0
-    solved = len(calls)
-    mu = float(out.getvalue().splitlines()[0].split(" = ")[1])
-    calls.clear()
-    evaluate(parse_kind("hst"), build_spectrum("eq2", 3), ThermoParams(1.25, mu, 14))
-    # one pass per sector with weight, all at the reported mu
-    assert solved == len(calls) > 0
+    monkeypatch.setattr(schurgas.thermo, "_mu_sums", counted)
+    for key in grid:
+        kind, spec = parse_kind(key[0]), build_spectrum(key[1], key[2])
+        nmax, beta, target = key[3], float(key[4]), float(key[5])
+        passes.append(0)
+        mu = solve_mu(kind, spec, beta, target, nmax)
+        passes.append(0)  # evaluate's pass is not the solve's
+        got = evaluate(kind, spec, ThermoParams(beta, mu, nmax)).mean_n
+        assert abs(got - target) <= MU_REL_TOL * target, key
+    solves = passes[::2]
+    assert sum(solves) <= GRID_MEAN_PASSES * len(solves)
+    assert max(solves) <= GRID_MAX_PASSES
+
+
+def ulps(got, want):
+    return abs(got - want) / (abs(want) * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "bose", "--spectrum", "eq2", "--beta", "1.0", "--target-n", "0.25", "--nmax", "32"],
+    ["--kind", "parafermi:3", "--spectrum", "eq1", "--beta", "1.25", "--target-n", "1.5",
+     "--qmax", "4", "--nmax", "24"],
+    ["--kind", "parabose:3", "--spectrum", "eq2", "--beta", "1.0", "--target-n", "0.15",
+     "--qmax", "3", "--nmax", "12"],
+    ["--kind", "even-cols", "--spectrum", "eq2", "--beta", "1.5", "--target-n", "0.2",
+     "--qmax", "4", "--nmax", "16"],
+    ["--kind", "fermi", "--spectrum", "eq2", "--beta", "1.0", "--target-n", "2.0",
+     "--qmax", "6", "--nmax", "24"],
+    ["--kind", "hst", "--spectrum", "eq2", "--beta", "1.25", "--target-n", "0.15",
+     "--qmax", "3", "--nmax", "14"],
+])
+def test_target_request_makes_one_fused_horner_pass(monkeypatch, argv):
+    # r_N(qh) and qh r_N'(qh) come from one Horner loop per sector, once per
+    # request: the mu-solver's steps and the reported point share it
+    calls = []
+    horner = schurgas.thermo._horner_with_slope
+
+    def counted(coeffs, q):
+        calls.append((coeffs, q, horner(coeffs, q)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(schurgas.thermo, "_horner_with_slope", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["thermo", *argv]) == 0
+    assert len(calls) == int(argv[argv.index("--nmax") + 1]) + 1
+    # The energy term qh r'(qh) / 2 against the exact value at the same qh,
+    # to 2 ulp relative, and against the forward sum of qp_weighted_eval_float,
+    # whose own rounding is the larger: up to 4.3 eps from the exact value
+    # over the benchmark keys, where Horner's stays within 1.8 eps.
+    for coeffs, q, (value, slope) in calls:
+        if len(coeffs) > 1:
+            exact = Fraction(0)
+            for t in range(len(coeffs) - 1, 0, -1):  # sum of t c_t q^t, by Horner in Fractions
+                exact = (exact + t * coeffs[t]) * Fraction(q)
+            exact /= 2
+            assert ulps(0.5 * slope, float(exact)) <= 2.0
+            assert ulps(0.5 * slope, qp_weighted_eval_float(coeffs, q, 0.5)) <= 8.0
