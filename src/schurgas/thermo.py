@@ -185,8 +185,7 @@ def evaluate_at_target(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float,
     terms = _beta_terms(kind, spec, beta_hw, nmax)
     lo = f_lo = hi = None  # the nearest mu known below the target, its mean, and above
     step = 1.0 / beta_hw
-    hunts = 0
-    wall_hit = False
+    hunts, wall_hit = 0, False
     # occupation ~ e^-50 here: far below any sane target, and always feasible
     mu = spec.levels[0][0] / 2 - 50.0 / beta_hw
     for _ in range(600):
@@ -200,6 +199,8 @@ def evaluate_at_target(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float,
         mean = sums[0] if sums else None
         if sums and abs(mean - target_mean_n) <= MU_REL_TOL * target_mean_n:
             return mu, _result(terms, sums)
+        # Z_N >= 0, so the tail fraction grows with z: a point past the wall is above
+        # the target, and every point below a feasible one is feasible.
         if not sums or mean > target_mean_n:
             hi, wall_hit = mu, wall_hit or not sums
         elif f_lo is not None and mean < f_lo - 1e-9 * max(1.0, abs(f_lo)):
@@ -212,8 +213,7 @@ def evaluate_at_target(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float,
                if sums else 0.0)
         nxt = (mu - (math.log(mean) - math.log(target_mean_n)) * mean / (beta_hw * var)
                if var > 0.0 and mean > 0.0 else math.nan)
-        # usable if it moves and keeps the largest log weight, about nmax beta mu, finite
-        newton = math.isfinite(nmax * beta_hw * nxt) and nxt != mu
+        newton = nxt != mu and math.isfinite(nmax * beta_hw * nxt)  # log weights stay finite
         if lo is None or hi is None:
             hunts += 1
             if hunts > 200:
