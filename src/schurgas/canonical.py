@@ -1,5 +1,7 @@
 """Canonical N-particle partition functions: restricted Schur sums over the
-admitted partitions."""
+admitted partitions, at a point of rationals (`z_canonical`) or on an integer
+energy grid (`z_canonical_qpoly`). The grand series in `series` sums every
+N at once at the same cleared point."""
 
 from __future__ import annotations
 
@@ -13,21 +15,13 @@ from .statistics import StatisticsKind, admitted_partitions
 
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
     """Z_N for an M-level system (M = number of coordinates): the sum of
-    s_lam over the partitions of n admitted by `kind`, with length <= M,
-    summed on ints (see z_canonical_sums). Z_0 = 1 for every kind."""
-    return z_canonical_sums(kind, point, [n])[0]
-
-
-def z_canonical_sums(
-    kind: StatisticsKind, point: Sequence[Rational], ns: Sequence[int]
-) -> list[Fraction]:
-    """Z_n for each n in ns, from one schur_int_sums call with a group of
-    admitted shapes per n, so every n shares one sweep. The sums run on ints
-    at the point D x of clear_denominators; Z_n is its group's sum over D^n."""
+    s_lam over the partitions of n admitted by `kind`, with length <= M.
+    The sum runs on ints at the point D x of clear_denominators, by one
+    schur_int_sums call, and Z_n is it over D^n. Z_0 = 1 for every kind."""
     xs = as_point(point)
     scale, ys = clear_denominators(xs)
-    sums = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs)) for n in ns])
-    return [Fraction(total, scale ** n) for n, total in zip(ns, sums)]
+    total = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs))])[0]
+    return Fraction(total, scale ** n)
 
 
 def z_canonical_qpoly(

@@ -85,33 +85,26 @@ def qp_divseries(a: QPoly, b: QPoly, emax: int) -> QPoly:
 Factor = tuple[int, int, int | Fraction, int]
 
 
-def qp_power_sums(factors: Iterable[Factor], nmax: int, emax: int) -> list[dict]:
-    """Power sums Q_0..Q_nmax of the product of the factors (r, sign, c, t),
-    each (1 - sign c z^r q^t)^(-sign): Q_m maps q^e, e <= emax, to the nonzero
-    sum of r sign^(k+1) c^k over the factors with r k = m and t k = e. The
-    factors are listed or mapped to multiplicities; repeats are merged. Two
-    products agree to (z^nmax, q^emax) exactly when their power sums do."""
+def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[OffsetPoly]:
+    """Rows F_0..F_nmax of the product of the factors (r, sign, c, t), each
+    (1 - sign c z^r q^t)^(-sign); F_n is the q-polynomial at z^n cut at q^emax,
+    in offset form. The factors are listed or mapped to multiplicities;
+    repeats are merged. The power sum Q_m maps q^e, e <= emax, to the sum of
+    r sign^(k+1) c^k over the factors with r k = m and t k = e, and by
+    Newton's identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m).
+    Integer c gives integer rows: the division by n is exact (ArithmeticError
+    otherwise)."""
     merged = Counter(factors)
     if nmax < 0 or emax < 0 or any(r < 1 or t < 0 or s not in (1, -1) for r, s, _, t in merged):
         raise ValueError("need r >= 1, t >= 0, sign +1 or -1 and nonnegative bounds")
-    power_sums: list[dict] = [{} for _ in range(nmax + 1)]
-    for (r, sign, c, t), mult in merged.items():
-        for k in range(1, min(nmax // r, emax // t if t else nmax) + 1):
-            terms = power_sums[r * k]
-            terms[t * k] = terms.get(t * k, 0) + mult * r * sign ** (k + 1) * c ** k
-    return [{e: v for e, v in terms.items() if v} for terms in power_sums]
-
-
-def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[OffsetPoly]:
-    """Rows F_0..F_nmax of the product of the factors (see qp_power_sums);
-    F_n is the q-polynomial at z^n cut at q^emax, in offset form. By Newton's
-    identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m). Integer c
-    gives integer rows: the division by n is exact (ArithmeticError otherwise)."""
-    merged = Counter(factors)
     # binomials alone make a polynomial in z, whose rows past its degree are []
     binomials = all(sign == -1 for _, sign, _, _ in merged)
     last = min(nmax, sum(f[0] * k for f, k in merged.items())) if binomials else nmax
-    power_sums = qp_power_sums(merged, last, emax)
+    power_sums: list[dict] = [{} for _ in range(last + 1)]
+    for (r, sign, c, t), mult in merged.items():
+        for k in range(1, min(last // r, emax // t if t else last) + 1):
+            terms = power_sums[r * k]
+            terms[t * k] = terms.get(t * k, 0) + mult * r * sign ** (k + 1) * c ** k
     # F_n has degree at most n times the largest t / r
     slope = max((Fraction(t, r) for r, _, _, t in merged), default=0)
     rows: list[OffsetPoly] = [(0, [1])]
@@ -122,7 +115,7 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[O
             low, prev = rows[n - m]
             for shift, coef in power_sums[m].items():
                 start = shift + low
-                if prev and start <= top:
+                if prev and coef and start <= top:
                     # acc += coef q^start prev to q^top; map stops at the shorter input
                     end = min(top + 1, start + len(prev))
                     acc[start:end] = map(add, acc[start:end], prev if coef == 1

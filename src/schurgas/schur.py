@@ -6,16 +6,17 @@ One engine sums s_lam over groups of shapes by the branching rule
 variable and one box at a time: a bottom-up sweep over levels that keeps
 only the previous level's values and the current level's table. It runs on
 ints alone; two thin fronts supply its step: `schur_int_sums` at an integer
-point (for `z_canonical_sums` and the `schur` command, at the D x of
-`clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), with each
+point (for `z_canonical`, `gpf_definition` and the `schur` command, at the
+D x of `clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), with each
 q-polynomial packed into one int at q = 2^W and unpacked at the end into
 the kernel's offset form (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux (total: repeated and zero
 coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
-det(x_i^(M - j)), which needs pairwise-distinct coordinates, both alternants
-by the kernel's one determinant (`qp_det` on int constants, cut at 0)."""
+det(x_i^(M - j)), which needs pairwise-distinct coordinates: the numerator by
+the kernel's one determinant (`qp_det` on int constants, cut at 0), the
+denominator as the Vandermonde product prod_(i<j) (x_i - x_j)."""
 
 from __future__ import annotations
 
@@ -112,21 +113,21 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
     if len(lam) > m:
         return Fraction(0)
     padded = tuple(lam) + (0,) * (m - len(lam))
+    exps = [p + m - 1 - j for j, p in enumerate(padded)]
+    # Row x = n/d times d^top has integer entries n^e d^(top-e), so the
+    # determinant runs on ints and prod d^top comes back out at the end.
+    top = max(exps, default=0)
+    rows = [[[x.numerator ** e * x.denominator ** (top - e)] for e in exps] for x in xs]
+    try:  # constants, cut at 0: a column with no nonzero pivot is singular
+        det = qp_det(rows, 0)
+    except ZeroDivisionError:
+        return Fraction(0)
+    # The denominator det(x_i^(M-j)) is the Vandermonde prod_(i<j) (x_i - x_j)
+    # (Macdonald I.3): on ints, prod_(i<j) (n_i d_j - n_j d_i) / prod_i d_i^(M-1).
+    vandermonde = prod(a.numerator * b.denominator - b.numerator * a.denominator
+                       for i, a in enumerate(xs) for b in xs[i + 1 :])
     scale = prod(x.denominator for x in xs)
-
-    def alternant(exps: list[int]) -> Fraction:
-        # Row x = n/d times d^top has integer entries n^e d^(top-e), so the
-        # determinant runs on ints and the scale comes back out at the end.
-        top = max(exps, default=0)
-        rows = [[[x.numerator ** e * x.denominator ** (top - e)] for e in exps] for x in xs]
-        try:  # constants, cut at 0: a column with no nonzero pivot is singular
-            det = qp_det(rows, 0)
-        except ZeroDivisionError:
-            return Fraction(0)
-        return Fraction(det[0] if det else 0, scale ** top)
-
-    num = alternant([p + m - 1 - j for j, p in enumerate(padded)])
-    return num / alternant([m - 1 - j for j in range(m)])
+    return Fraction(det[0] if det else 0, scale ** (top - m + 1) * vandermonde)
 
 
 def kostka(shape: Partition, content: Partition) -> int:

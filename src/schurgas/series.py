@@ -1,9 +1,10 @@
 """Truncated fugacity series and the grand canonical partition functions.
 
-A FugacitySeries stores exact rational coefficients c_0..c_nmax of a power
-series in the fugacity z; the arithmetic on them is the polynomial kernel in
-`qpoly`, with z as its variable. The grand series of a statistics comes in
-two independently computed flavours:
+A FugacitySeries holds c_0..c_nmax of a power series in the fugacity z as
+ints at the point D x of `clear_denominators`: ints[N] = D^N c_N, the
+coefficients of the same series in w = z / D. Its `coeffs` property builds
+the exact rationals, for output only. The grand series of a statistics comes
+in two independently computed flavours, both at that one cleared point:
 
 * `gpf_definition` is the defining sum, coefficient N = z_canonical(kind, N).
   Works for every statistics.
@@ -12,21 +13,21 @@ two independently computed flavours:
   z^(nmax+1) throughout: the products by the power-sum kernel, the
   determinants as Bareiss eliminations on series.
 
-`verify_identity` compares the two coefficientwise and reports the first
-mismatch, if any. Throughout, X_i = z * x_i, so a factor in X_i X_j or
+`verify_identity` compares the two on ints, coefficientwise, and reports the
+first mismatch, if any. Throughout, X_i = z * x_i, so a factor in X_i X_j or
 X_i^2 carries z^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
-from .canonical import z_canonical_sums
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
-from .schur import DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators
-from .statistics import StatisticsKind, UnsupportedKind, kind_name
+from .schur import (DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators,
+                    schur_int_sums)
+from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
 
 
 class TruncationMismatch(ValueError):
@@ -37,39 +38,45 @@ class DivisionInconsistency(ArithmeticError):
     """The determinant ratio could not be expanded as a power series."""
 
 
-@dataclass(frozen=True)
-class FugacitySeries:
-    """Coefficients c_0..c_nmax of sum c_N z^N, exact rationals."""
+class FugacitySeries(NamedTuple):
+    """sum c_N z^N to z^nmax as ints[N] = scale^N c_N, nmax = len(ints) - 1."""
 
-    nmax: int
-    coeffs: tuple[Fraction, ...]
+    scale: int
+    ints: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.nmax < 0:
-            raise ValueError("nmax must be nonnegative")
-        if len(self.coeffs) != self.nmax + 1:
-            raise ValueError("need exactly nmax + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact rationals c_0..c_nmax, built on each read."""
+        return tuple(Fraction(c, self.scale ** n) for n, c in enumerate(self.ints))
 
 
-def _series(nmax: int, poly: QPoly) -> FugacitySeries:
-    """The series of a kernel polynomial: truncated, or padded with zeros."""
-    coeffs = tuple(poly[: nmax + 1])
-    return FugacitySeries(nmax, coeffs + (0,) * (nmax + 1 - len(coeffs)))
+def _series(scale: int, nmax: int, poly: QPoly) -> FugacitySeries:
+    """The series of a kernel polynomial in w = z / scale: truncated, or
+    padded with zeros."""
+    ints = tuple(poly[: nmax + 1])
+    return FugacitySeries(scale, ints + (0,) * (nmax + 1 - len(ints)))
 
 
 def series_mul(a: FugacitySeries, b: FugacitySeries) -> FugacitySeries:
-    """Cauchy product truncated at the common nmax."""
-    if a.nmax != b.nmax:
-        raise TruncationMismatch(f"nmax {a.nmax} vs {b.nmax}")
-    return _series(a.nmax, qp_mul(a.coeffs, b.coeffs, a.nmax))
+    """Cauchy product truncated at the common nmax, at the lcm of the scales."""
+    if len(a.ints) != len(b.ints):
+        raise TruncationMismatch(f"nmax {len(a.ints) - 1} vs {len(b.ints) - 1}")
+    nmax, scale = len(a.ints) - 1, lcm(a.scale, b.scale)
+    a_ints, b_ints = ([c * (scale // s.scale) ** n for n, c in enumerate(s.ints)] for s in (a, b))
+    return _series(scale, nmax, qp_mul(a_ints, b_ints, nmax))
 
 
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """The grand series straight from its definition: coefficient of z^N is
     the canonical Z_N. Available for every statistics. All N = 0..nmax come
-    from one z_canonical_sums call, so they share one branching-rule sweep."""
-    return FugacitySeries(nmax, tuple(z_canonical_sums(kind, point, range(nmax + 1))))
+    from one schur_int_sums call at the cleared point, a group of admitted
+    shapes per N, so they share one branching-rule sweep."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    xs = as_point(point)
+    scale, ys = clear_denominators(xs)
+    groups = [admitted_partitions(kind, n, len(xs)) for n in range(nmax + 1)]
+    return FugacitySeries(scale, tuple(schur_int_sums(ys, groups)))
 
 
 PRODUCT_FAMILIES = ("bose", "fermi", "hst", "even-rows", "even-cols")
@@ -104,10 +111,10 @@ def product_factors(
 
 def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """Closed product form of the grand series (see product_factors), on
-    ints at y = D x (clear_denominators), coefficient n divided by D^n."""
+    ints at y = D x (clear_denominators)."""
     scale, ys = clear_denominators(as_point(point))
     rows = qp_power_sum_rows(product_factors(kind, [(y, 0) for y in ys]), nmax, 0)
-    return _series(nmax, [Fraction(sum(row), scale ** n) for n, (_, row) in enumerate(rows)])
+    return FugacitySeries(scale, tuple(sum(row) for _, row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
         ratio = qp_divseries(det(2 * m + p + 1), det(2 * m + 1), nmax)
     except ZeroDivisionError:
         raise DivisionInconsistency("denominator determinant is identically zero") from None
-    return _series(nmax, [Fraction(c, scale ** k) for k, c in enumerate(ratio)])
+    return _series(scale, nmax, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +186,10 @@ def gpf_closed_form(kind: StatisticsKind, point: Sequence[Rational], nmax: int) 
 
 
 def verify_identity(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> IdentityReport:
-    """Compare the defining Schur sum against the closed form, exactly."""
+    """Compare the defining Schur sum against the closed form, exactly: both
+    clear the same point, so they share D and compare on ints."""
     xs = as_point(point)
     lhs = gpf_definition(kind, xs, nmax)
     rhs = gpf_closed_form(kind, xs, nmax)
-    mismatch = next((n for n in range(nmax + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None)
+    mismatch = next((n for n, (a, b) in enumerate(zip(lhs.ints, rhs.ints)) if a != b), None)
     return IdentityReport(kind, xs, nmax, lhs, rhs, mismatch is None, mismatch)

@@ -18,7 +18,7 @@ from schurgas.equivalence import (
     gpf_bose_biseries,
     gpf_evencols_biseries,
 )
-from schurgas.qpoly import qp_power_sums
+from schurgas.qpoly import qp_power_sum_rows
 from schurgas.statistics import BOSE, EVEN_COLS
 
 
@@ -225,7 +225,7 @@ def test_perturbed_pair_factor_is_unequal_by_both_criteria(monkeypatch):
     report = check_equivalence(qmax)
     bose = equivalence._bose_factors(build_spectrum("eq1", qmax))
     pairs = perturbed_pair_factors(build_spectrum("eq2", qmax))
-    assert qp_power_sums(bose, qmax, qmax) != qp_power_sums(pairs, qmax, qmax)
+    assert qp_power_sum_rows(bose, qmax, qmax) != qp_power_sum_rows(pairs, qmax, qmax)
     assert not report.equal
     scan = first_table_mismatch(tables(qmax)[0], PRODUCT_BISERIES(pairs, qmax))
     assert report.first_mismatch == scan == (1, 5)

@@ -55,9 +55,8 @@ def full_parafermi_ratio(p, point, nmax):
     )
     if not den:
         raise DivisionInconsistency("denominator determinant is identically zero")
-    ratio = poly_divexact(num, den)[: nmax + 1]
-    coeffs = [F(c, scale ** k) for k, c in enumerate(ratio)]
-    return FugacitySeries(nmax, tuple(coeffs) + (0,) * (nmax + 1 - len(coeffs)))
+    ratio = tuple(poly_divexact(num, den)[: nmax + 1])
+    return FugacitySeries(scale, ratio + (0,) * (nmax + 1 - len(ratio)))
 
 
 def outcome(fn, *args):

@@ -14,7 +14,6 @@ from schurgas.qpoly import (
     qp_mul,
     qp_normalize,
     qp_power_sum_rows,
-    qp_power_sums,
 )
 
 
@@ -338,16 +337,16 @@ def test_power_sum_rows_small_products():
         (0, [1]), (1, [1, 0, 1]), (2, [1, 0, 1]), (3, [1])]
 
 
-def test_power_sums_merge_factors_and_drop_zeros():
-    # (1 - z q)^(-2) (1 - z^2 q^3)^(-1): 2 q^k at z^k, and 2 q^(3k) at z^(2k)
+def test_power_sum_rows_merge_factors_and_cancel():
+    # (1 - z q)^(-2) (1 - z^2 q^3)^(-1): (k + 1) q^k at z^k times q^(3j) at
+    # z^(2j), with the repeated factor listed twice or given a multiplicity
     factors = [(1, 1, 1, 1), (2, 1, 1, 3), (1, 1, 1, 1)]
-    assert qp_power_sums(factors, 4, 6) == [{}, {1: 2}, {2: 2, 3: 2}, {3: 2}, {4: 2, 6: 2}]
-    assert qp_power_sums(Counter(factors), 4, 6) == qp_power_sums(factors, 4, 6)
-    # the cancelling pair leaves no entry, as the empty product
+    rows = [(0, [1]), (1, [2]), (2, [3, 1]), (3, [4, 2]), (4, [5, 3, 1])]
+    assert qp_power_sum_rows(factors, 4, 6) == rows
+    assert qp_power_sum_rows(Counter(factors), 4, 6) == rows
+    # the cancelling pair's power sums are zero, as the empty product's
     cancel = [(3, -1, F(2, 5), 1), (3, 1, F(-2, 5), 1)]
-    assert qp_power_sums(cancel, 7, 4) == qp_power_sums([], 7, 4) == [{}] * 8
-    with pytest.raises(ValueError):
-        qp_power_sums([(1, 1, 1, -1)], 3, 3)
+    assert qp_power_sum_rows(cancel, 7, 4) == qp_power_sum_rows([], 7, 4)
 
 
 def test_power_sum_rows_rejects_bad_factors():

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from schurgas.cli import frac_str
+from schurgas import series
+from schurgas.cli import frac_str, run
 from schurgas.schur import DistinctnessViolation
 from schurgas.series import (
     DivisionInconsistency,
     FugacitySeries,
-    IdentityReport,
     TruncationMismatch,
     gpf_closed_form,
     gpf_definition,
@@ -33,7 +34,10 @@ F = Fraction
 
 
 def S(*coeffs):
-    return FugacitySeries(len(coeffs) - 1, tuple(F(c) for c in coeffs))
+    """The series with these rational coefficients, at the lcm D of their
+    denominators: coefficient n is held as the int D^n c_n."""
+    scale = lcm(*(F(c).denominator for c in coeffs))
+    return FugacitySeries(scale, tuple(int(F(c) * scale ** n) for n, c in enumerate(coeffs)))
 
 
 def test_series_mul_known_products():
@@ -42,18 +46,13 @@ def test_series_mul_known_products():
     assert series_mul(S(1, 0, 0, 0), anything).coeffs == anything.coeffs
     geometric = S(1, 2, 4, 8)
     assert series_mul(geometric, S(1, -2, 0, 0)).coeffs == (F(1), F(0), F(0), F(0))
+    # at the lcm of the two scales: (1 + z/2)(1 - z/3) = 1 + z/6 - z^2/6
+    assert series_mul(S(1, F(1, 2), 0), S(1, F(-1, 3), 0)) == FugacitySeries(6, (1, 1, -6))
 
 
 def test_series_mul_rejects_mixed_truncation():
     with pytest.raises(TruncationMismatch):
         series_mul(S(1, 0, 0, 0), S(1, 0, 0, 0, 0))
-
-
-def test_series_validation():
-    with pytest.raises(ValueError):
-        FugacitySeries(2, (F(1), F(0)))
-    with pytest.raises(ValueError):
-        FugacitySeries(-1, ())
 
 
 def test_gpf_definition_examples():
@@ -149,17 +148,29 @@ def test_gpf_closed_form_dispatch():
         gpf_closed_form(parabose(2), pt, 3)
 
 
-def test_report_records_first_mismatch():
-    lhs = S(1, 2, 3)
-    rhs = S(1, 2, 4)
-    mismatch = next(
-        (n for n in range(3) if lhs.coeffs[n] != rhs.coeffs[n]), None)
-    report = IdentityReport(
-        kind=BOSE, point=(F(1),), nmax=2, lhs=lhs, rhs=rhs,
-        equal=mismatch is None, first_mismatch=mismatch,
-    )
-    assert report.equal is False
-    assert report.first_mismatch == 2
+@pytest.mark.parametrize("name", ["hst", "parafermi:2"])
+def test_verify_reports_a_closed_form_that_is_off(monkeypatch, capsys, name):
+    # the true closed form with its z^3 ints off by one, at a point with
+    # D = 6: the coefficient is off by 1/6^3, and only there
+    true_closed_form = series.gpf_closed_form
+
+    def off_at_three(kind, point, nmax):
+        scale, ints = true_closed_form(kind, point, nmax)
+        return FugacitySeries(scale, ints[:3] + (ints[3] + 1,) + ints[4:])
+
+    monkeypatch.setattr(series, "gpf_closed_form", off_at_three)
+    report = verify_identity(parse_kind(name), (F(1, 2), F(2, 3), F(5)), 5)
+    assert report.lhs.scale == report.rhs.scale == 6
+    assert (report.equal, report.first_mismatch) == (False, 3)
+    deltas = [r - l for l, r in zip(report.lhs.coeffs, report.rhs.coeffs)]
+    assert deltas == [0, 0, 0, F(1, 216), 0, 0]
+    assert run(["verify", "--kind", name, "--point", "1/2,2/3,5", "--nmax", "5"]) == 1
+    assert capsys.readouterr().out == f"{name} @ (1/2, 2/3, 5/1) nmax=5: MISMATCH at z^3\n"
+
+
+def test_gpf_definition_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="^nmax must be nonnegative$"):
+        gpf_definition(BOSE, (F(1, 2),), -1)
 
 
 def test_frac_str():
