@@ -40,7 +40,8 @@ SCHUR_MAX_COORDS = 32
 SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 # The `partitions` envelope, checked before any shape is generated: the count
 # takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
-# up to 0.35 us a part, with at most min(n, rows) parts a shape (1 s at either).
+# up to 0.35 us a part (1 s at either). The parts are bounded by the count
+# times min(n, rows) and, past the limit, counted exactly in about n rows steps.
 PARTITIONS_MAX_BOXES = 4000
 PARTITIONS_MAX_SHAPES = 100_000
 PARTITIONS_MAX_PARTS = 3_000_000
@@ -139,9 +140,11 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
         raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n}, "
                          f"more than {PARTITIONS_MAX_SHAPES}")
     printed = count * min(args.n, shape_bounds(args.kind, max_parts)[0])
+    if printed > PARTITIONS_MAX_PARTS:  # past the cheap bound, count the parts exactly
+        printed = admitted_count(args.kind, args.n, max_parts, parts=True)
     if printed > PARTITIONS_MAX_PARTS:
-        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n} with up "
-                         f"to {printed} parts in all, more than {PARTITIONS_MAX_PARTS}")
+        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n} with "
+                         f"{printed} parts in all, more than {PARTITIONS_MAX_PARTS}")
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
         0, lambda: parts, ("partition",),

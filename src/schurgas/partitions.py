@@ -53,21 +53,39 @@ def iter_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iter
         remaining, k = remaining + k, k - 1
 
 
-def count_partitions(n: int, max_parts: int, max_part: int | None = None) -> int:
-    """How many partitions iter_partitions(n, max_parts, max_part) yields
-    (max_parts may be 0 here), without listing one: the q^n coefficient of
-    the Gaussian binomial prod_(i=1..r) (1 - q^(c + i)) / (1 - q^i), r the
-    smaller of the two bounds and c the larger (conjugation swaps them)."""
+def _box_counts(n: int, rows: int, cols: int) -> Iterator[int]:
+    """a_0..a_rows, a_k the number of partitions of n with at most k parts,
+    each at most cols: the q^n coefficients of the Gaussian binomials
+    prod_(i=1..k) (1 - q^(cols + i)) / (1 - q^i), one factor a step."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r, c = sorted((min(max_parts, n), n if max_part is None else min(max_part, n)))
     coef = [1] + [0] * n
-    for i in range(1, r + 1):
-        for d in range(n, c + i - 1, -1):
-            coef[d] -= coef[d - c - i]
+    yield coef[n]
+    for i in range(1, rows + 1):
+        for d in range(n, cols + i - 1, -1):
+            coef[d] -= coef[d - cols - i]
         for d in range(i, n + 1):
             coef[d] += coef[d - i]
-    return coef[n]
+        yield coef[n]
+
+
+def count_partitions(n: int, max_parts: int, max_part: int | None = None) -> int:
+    """How many partitions iter_partitions(n, max_parts, max_part) yields
+    (max_parts may be 0 here), without listing one: _box_counts run on the
+    smaller of the two bounds (conjugation swaps them)."""
+    cols = n if max_part is None else min(max_part, n)
+    *_, count = _box_counts(n, *sorted((min(max_parts, n), cols)))
+    return count
+
+
+def count_parts(n: int, max_parts: int, max_part: int | None = None) -> int:
+    """The total number of parts over iter_partitions(n, max_parts, max_part),
+    without listing one. Of the a_r partitions (r = min(max_parts, n)),
+    a_r - a_(k-1) have k parts or more, so the total is r a_r - sum_(k<r) a_k:
+    one pass of _box_counts on the row bound, about r n steps."""
+    r = min(max_parts, n)
+    *below, count = _box_counts(n, r, n if max_part is None else min(max_part, n))
+    return r * count - sum(below)
 
 
 def gen_partitions(n: int, max_parts: int) -> list[Partition]:

@@ -10,8 +10,8 @@ in two independently computed flavours, both at that one cleared point:
   Works for every statistics.
 * `gpf_product` and `gpf_parafermi_det` are the closed product and
   determinant forms, for the statistics that have one. Both work mod
-  z^(nmax+1) throughout: the products by the power-sum kernel, the
-  determinants as Bareiss eliminations on series.
+  z^(nmax+1): the products by the power-sum kernel, the determinant ratio as
+  one Bareiss elimination on series over Weyl's type-B denominator product.
 
 `verify_identity` compares the two on ints, coefficientwise, and reports the
 first mismatch, if any. Throughout, X_i = z * x_i, so a factor in X_i X_j or
@@ -21,7 +21,7 @@ X_i^2 carries z^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple, Sequence
 
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
@@ -118,18 +118,20 @@ def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> F
 
 
 # ---------------------------------------------------------------------------
-# Parafermi determinant ratio: Bareiss determinants of truncated w-series.
+# Parafermi determinant ratio: one Bareiss determinant over a known product.
 
 
 def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """Closed grand series for row-bounded (order-p) statistics: the ratio
     of two determinants with entries X_j^(T-i) - X_j^i (i, j = 1..M), with
-    T = 2M+p+1 over T = 2M+1, as a series in z cut at z^nmax.
+    T = 2M+p+1 over T = 2M+1 (Macdonald I.5 Ex. 16), as a series in z cut at z^nmax.
 
-    Both determinants are series mod w^(nmax+1) (qp_det at emax = nmax), never
-    expanded in full, and so is their ratio (qp_divseries). Row i of both
-    carries w^i; divided out, it leaves the constant-term matrix (-y_j^i),
-    whose determinant +-prod y_j Vandermonde(y) is the nonzero pivot needed.
+    Row i of both carries w^i; divided out, it leaves the constant-term matrix
+    (-y_j^i), of determinant c = (-1)^M prod y_j prod_(i<j) (y_j - y_i). The
+    numerator is one qp_det mod w^(nmax+1), never expanded in full; c != 0 is
+    its pivot. The denominator is Weyl's type-B denominator (Fulton and Harris,
+    Lecture 24), c prod_j (1 - w y_j) prod_(i<j) (1 - w^2 y_i y_j), so the
+    ratio divides the numerator by c and by each two-term factor (qp_divseries).
 
     The point must have pairwise-distinct coordinates; a coincidence raises
     DistinctnessViolation. A zero coordinate makes both determinants vanish
@@ -143,22 +145,20 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     m = len(xs)
     if len(set(xs)) != m:
         raise DistinctnessViolation(f"repeated coordinate in point {xs}")
-    # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so both
+    # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so the
     # determinants are integer series in w. Row i over w^i has entries
     # y^i (y^(T-2i) w^(T-2i) - 1), and T - 2i >= 1.
     scale, ys = clear_denominators(xs)
-
-    def det(top: int) -> QPoly:
-        rows = [[[-y ** i] + [0] * (top - 2 * i - 1) + [y ** (top - i)] for y in ys]
-                for i in range(1, m + 1)]
-        return qp_det(rows, nmax)
-
-    try:
-        # The ratio is the finite sum of w^|lam| s_lam(y) over the admitted
-        # shapes, an integer polynomial, so the division is exact on ints.
-        ratio = qp_divseries(det(2 * m + p + 1), det(2 * m + 1), nmax)
-    except ZeroDivisionError:
-        raise DivisionInconsistency("denominator determinant is identically zero") from None
+    pairs = [(yi, yj) for k, yi in enumerate(ys) for yj in ys[k + 1 :]]
+    c = (-1) ** m * prod(ys) * prod(yj - yi for yi, yj in pairs)
+    if not c:  # distinct coordinates, so one of them is 0
+        raise DivisionInconsistency("denominator determinant is identically zero")
+    ratio = qp_det([[[-y ** i] + [0] * (2 * (m - i) + p) + [y ** (2 * m + p + 1 - i)] for y in ys]
+                    for i in range(1, m + 1)], nmax)
+    # the ratio, sum of w^|lam| s_lam(y) over the admitted shapes, is integral:
+    # every division is exact on ints
+    for factor in [[c]] + [[1, -y] for y in ys] + [[1, 0, -yi * yj] for yi, yj in pairs]:
+        ratio = qp_divseries(ratio, factor, nmax)
     return _series(scale, nmax, ratio)
 
 

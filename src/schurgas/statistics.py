@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .partitions import Partition, count_partitions, iter_partitions
+from .partitions import Partition, count_partitions, count_parts, iter_partitions
 
 _FAMILIES = (
     "bose",
@@ -170,12 +170,15 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
     return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
 
 
-def admitted_count(kind: StatisticsKind, n: int, max_parts: int) -> int:
-    """len(admitted_partitions(kind, n, max_parts)), counted without
-    generating a shape; the even kinds count the partitions of n/2 that
-    they map from."""
+def admitted_count(kind: StatisticsKind, n: int, max_parts: int, parts: bool = False) -> int:
+    """len(admitted_partitions(kind, n, max_parts)), or with parts the total
+    number of parts over them, counted without generating a shape; the even
+    kinds count the partitions of n/2 that they map from, and an even-cols
+    shape has twice the parts of its half."""
     _check_sizes(n, max_parts)
+    count = count_parts if parts else count_partitions
     if kind.family not in _EVEN:
-        return count_partitions(n, *shape_bounds(kind, max_parts))
-    halves = max_parts // 2 if kind.family == "even-cols" else max_parts
-    return 0 if n % 2 else count_partitions(n // 2, halves)
+        return count(n, *shape_bounds(kind, max_parts))
+    if kind.family == "even-rows":
+        return 0 if n % 2 else count(n // 2, max_parts)
+    return 0 if n % 2 else (1 + parts) * count(n // 2, max_parts // 2)

@@ -41,10 +41,12 @@ def test_partitions_json(capsys):
     (["46", "--format", "csv"], "admits 105558 partitions of 46"),
     (["92", "--kind", "even-cols"], "even-cols admits 105558 partitions of 92"),
     (["4001", "--kind", "fermi"], "n = 4001 is more than 4000 boxes"),
-    # few shapes, but long ones: 10,542,000 parts at most
-    (["500", "--kind", "parafermi:3"], "admits 21084 partitions of 500 with up to 10542000 parts"),
-    (["44", "--format", "json"], "admits 75175 partitions of 44 with up to 3307700 parts"),
-    (["2449", "--kind", "parafermi:2"], "more than 3000000"),
+    # few shapes, but long ones: past the bound count x min(n, rows), the
+    # parts are counted exactly, and still without generating a shape
+    (["500", "--kind", "parafermi:3"], "admits 21084 partitions of 500 with 6449352 parts"),
+    (["3000", "--kind", "parafermi:2"], "admits 1501 partitions of 3000 with 3377250 parts"),
+    (["1000", "--kind", "parafermi:3", "--max-parts", "600", "--format", "json"],
+     "more than 3000000"),
 ])
 def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
     monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
@@ -54,11 +56,19 @@ def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason)
 
 
 def test_partitions_lists_inside_its_envelope(capsys):
-    # 63,261 shapes of up to 43 parts, the most of any n under the part bound
-    code, out, _ = invoke(capsys, ["partitions", "43", "--format", "json"])
+    # 89,134 shapes with 1,140,945 parts (up to 4,011,030 by the cheap bound),
+    # the most shapes of any n under the shape bound
+    code, out, _ = invoke(capsys, ["partitions", "45"])
     assert code == 0
-    shapes = json.loads(out)
-    assert len(shapes) == 63261 and shapes[0] == [43] and shapes[-1] == [1] * 43
+    lines = out.splitlines()
+    assert len(lines) == 89134 and lines[0] == "45" and lines[-1] == ",".join(["1"] * 45)
+    # 1,225 shapes with 2,249,100 parts, just under the cheap bound
+    argv = ["partitions", "2448", "--kind", "parafermi:2", "--format", "csv"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1226 and lines[1] == "+".join(["2"] * 1224)
+    assert lines[-1] == "+".join(["1"] * 2448)
     code, out, _ = invoke(capsys, ["partitions", "1500", "--kind", "fermi"])
     assert (code, out) == (0, ",".join(["1"] * 1500) + "\n")
 

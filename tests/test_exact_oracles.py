@@ -3,23 +3,30 @@ against the code it replaced.
 
 `full_parafermi_ratio` below is the parafermi closed form as it was: both
 determinants expanded in full as w-polynomials (the test-only Bareiss of
-`full_bareiss`), divided exactly, and only then cut at w^nmax. `gpf_parafermi_det` now computes them mod w^(nmax+1);
-the two must agree on values, exception types and messages. The `schur`
-command now takes its `tableau` value from the branching engine; the
-tableau enumeration `schur_tableau` is its oracle.
+`full_bareiss`), divided exactly, and only then cut at w^nmax.
+`gpf_parafermi_det` now computes the numerator alone, mod w^(nmax+1), and
+divides it by the denominator's known product, Weyl's type-B denominator
+(Fulton and Harris, Lecture 24); that identity is checked here against the
+full expansion too. The two must agree on values, exception types and
+messages. The `schur` command now takes its `tableau` value from the
+branching engine; the tableau enumeration `schur_tableau` is its oracle.
 """
 
 import contextlib
 import io
 import json
 from fractions import Fraction as F
+from itertools import combinations
+from math import prod
 
-from full_bareiss import poly_det, poly_divexact
+import pytest
+from full_bareiss import poly_det, poly_divexact, poly_mul
 from hypothesis import example, given, settings, strategies as st
 
+from schurgas import series
 from schurgas.cli import frac_str, run
 from schurgas.partitions import gen_partitions
-from schurgas.qpoly import QPoly, qp_normalize
+from schurgas.qpoly import QPoly, qp_det, qp_divseries, qp_normalize
 from schurgas.schur import DistinctnessViolation, as_point, clear_denominators, schur_tableau
 from schurgas.series import DivisionInconsistency, FugacitySeries, gpf_parafermi_det
 
@@ -79,6 +86,65 @@ def outcome(fn, *args):
 @example(p=2, point=[F(5, 4), F(5, 4)], nmax=3)  # repeated
 def test_truncated_parafermi_ratio_matches_the_full_expansion(p, point, nmax):
     assert outcome(gpf_parafermi_det, p, point, nmax) == outcome(full_parafermi_ratio, p, point, nmax)
+
+
+def _type_b_factors(ys):
+    """The factors of Weyl's type-B denominator with w^i out of row i: the
+    constant c = (-1)^M prod y_j prod_(i<j) (y_j - y_i), then 1 - w y_j and
+    1 - w^2 y_i y_j."""
+    pairs = list(combinations(ys, 2))
+    c = (-1) ** len(ys) * prod(ys) * prod(b - a for a, b in pairs)
+    return [[c]] + [[1, -y] for y in ys] + [[1, 0, -a * b] for a, b in pairs]
+
+
+@DERANDOMIZED
+@given(point=st.lists(st.sampled_from([x for x in COORDS if x]), min_size=1, max_size=5,
+                      unique=True))
+@example(point=[F(9, 2)])
+@example(point=[F(1), F(-1), F(2), F(-3), F(1, 2)])
+@example(point=[F(-2, 3), F(5, 4), F(3, 7), F(-7, 6), F(9, 2)])
+def test_parafermi_denominator_is_the_type_b_product(point):
+    # the identity the closed form divides by: det(X_j^(2M+1-i) - X_j^i)
+    # at X_j = w y_j, expanded in full, against its product
+    _, ys = clear_denominators(as_point(point))
+    m = len(ys)
+    den = poly_det([[_monomial_diff(y, 2 * m + 1 - i, i) for y in ys] for i in range(1, m + 1)])
+    product = [0] * (m * (m + 1) // 2) + [1]  # w^(1 + 2 + ... + M)
+    for factor in _type_b_factors(ys):
+        product = poly_mul(product, factor)
+    assert den == product
+
+
+def test_parafermi_ratio_is_one_elimination_over_the_product(monkeypatch):
+    eliminations, divisors = [], []
+
+    def counted_det(rows, emax):
+        eliminations.append(rows)
+        return qp_det(rows, emax)
+
+    def recorded_division(a, b, emax):
+        divisors.append(b)
+        return qp_divseries(a, b, emax)
+
+    monkeypatch.setattr(series, "qp_det", counted_det)
+    monkeypatch.setattr(series, "qp_divseries", recorded_division)
+    point = [F(1, 2), F(-2, 3), F(3)]
+    got = gpf_parafermi_det(2, point, 8)
+    assert len(eliminations) == 1 and len(eliminations[0]) == 3
+    # every divisor is a factor of the type-B product, none an elimination's
+    _, ys = clear_denominators(as_point(point))
+    assert sorted(divisors) == sorted(_type_b_factors(ys))
+    assert got == full_parafermi_ratio(2, point, 8)
+
+
+@pytest.mark.parametrize("point", [[F(0), F(1, 2), F(-3)], [F(1, 2), F(0), F(-3)],
+                                   [F(1, 2), F(-3), F(0)]], ids=["first", "middle", "last"])
+def test_zero_coordinate_is_refused_before_any_elimination(monkeypatch, point):
+    eliminations = []
+    monkeypatch.setattr(series, "qp_det", lambda *args: eliminations.append(args))
+    with pytest.raises(DivisionInconsistency, match="^denominator determinant is identically zero$"):
+        gpf_parafermi_det(2, point, 6)
+    assert eliminations == []
 
 
 def test_truncated_parafermi_ratio_at_twenty_coordinates():

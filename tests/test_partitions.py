@@ -7,6 +7,7 @@ from schurgas.partitions import (
     check_partition,
     conjugate,
     count_partitions,
+    count_parts,
     gen_partitions,
     is_partition,
     iter_partitions,
@@ -132,6 +133,21 @@ def test_count_partitions_is_the_listing_length():
     assert count_partitions(100, 100) == 190569292
     with pytest.raises(ValueError):
         count_partitions(-1, 3)
+
+
+def test_count_parts_is_the_listing_total():
+    for n in range(13):
+        for max_parts in range(1, 8):
+            for max_part in (None, *range(1, 8)):
+                expected = sum(len(lam) for lam in iter_partitions(n, max_parts, max_part))
+                assert count_parts(n, max_parts, max_part) == expected, (n, max_parts, max_part)
+        assert count_parts(n, 0) == 0
+    # the totals the `partitions` envelope decides on
+    assert count_parts(45, 45) == 1140945
+    assert count_parts(2449, 2449, 2) == 2250325
+    assert count_parts(500, 500, 3) == 6449352
+    with pytest.raises(ValueError):
+        count_parts(-1, 3)
 
 
 def test_conjugate_known_values():

@@ -127,12 +127,14 @@ ALL_FAMILIES = (
 @pytest.mark.parametrize("kind", ALL_FAMILIES, ids=kind_name)
 def test_admitted_partitions_equal_the_filtered_generation(kind):
     # direct generation against the predicate as oracle, order included;
-    # admitted_count counts the same shapes without generating them
+    # admitted_count counts the same shapes, and their parts, without
+    # generating them
     for n in range(15):
         for m in range(1, 9):
             expected = [lam for lam in gen_partitions(n, m) if admits(kind, lam)]
             assert admitted_partitions(kind, n, m) == expected, (n, m)
             assert admitted_count(kind, n, m) == len(expected), (n, m)
+            assert admitted_count(kind, n, m, parts=True) == sum(map(len, expected)), (n, m)
 
 
 @pytest.mark.parametrize("kind", ALL_FAMILIES, ids=kind_name)
