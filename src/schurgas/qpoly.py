@@ -2,14 +2,16 @@
 
 A polynomial is a plain list of coefficients indexed by power. The variable
 is whatever the caller makes it: q in the Schur and equivalence tables, the
-fugacity z in the grand series. Coefficients may be `int` or `Fraction`;
-every operation is exact, and integer inputs give integer outputs (division
-is exact division, never float division). The normalized form has trailing
-zeros stripped, so the zero polynomial is []. Products, quotients and the
-determinant take power series cut at a required `emax` (0 for constants).
-A q-polynomial leaves its producer (`qp_power_sum_rows`, the q front in
-`schur`) in one offset form, `OffsetPoly` (low, coeffs): low is its lowest
-degree, coeffs run from there up, first and last nonzero; zero is (0, []).
+fugacity z in the grand series. Coefficients are ints and every operation is
+exact: division is exact int division, which raises ArithmeticError on a
+remainder. The normalized form has trailing zeros stripped, so the zero
+polynomial is []. Products, quotients and the determinant take power series
+cut at a required `emax` (0 for constants). A q-polynomial leaves its
+producer (`qp_power_sum_rows`, the q front in `schur`) in one offset form,
+`OffsetPoly` (low, coeffs): low is its lowest degree, coeffs run from there
+up, first and last nonzero; zero is (0, []). Floats enter only at
+`qp_eval_float`, the one float evaluation (`qp_weighted_eval_float` is the
+tests' second route to its slope).
 
 Everything here is a plain function on lists, so there is no class.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-QPoly = list[int | Fraction]
+QPoly = list[int]
 OffsetPoly = tuple[int, QPoly]
 
 
@@ -55,21 +57,19 @@ def qp_mul(a: QPoly, b: QPoly, emax: int) -> QPoly:
     return qp_normalize(out)
 
 
-def _divide(x, y):
-    """x / y in the coefficients' own ring: int stays int, or raises."""
-    if isinstance(x, int) and isinstance(y, int):
-        quot, rem = divmod(x, y)
-        if rem:
-            raise ArithmeticError(f"inexact integer division {x} / {y}")
-        return quot
-    return x / y
+def _divide(x: int, y: int) -> int:
+    """x / y exactly on ints, or ArithmeticError."""
+    quot, rem = divmod(x, y)
+    if rem:
+        raise ArithmeticError(f"inexact integer division {x} / {y}")
+    return quot
 
 
 def qp_divseries(a: QPoly, b: QPoly, emax: int) -> QPoly:
     """Quotient a / b as a power series cut at emax, by division from the
     low end: b needs a nonzero constant term (ZeroDivisionError otherwise).
-    On integers each coefficient must divide exactly (ArithmeticError
-    otherwise), which holds when a / b is an integer series."""
+    Each coefficient must divide exactly (ArithmeticError otherwise), which
+    holds when a / b is an integer series."""
     if not b or not b[0]:
         raise ZeroDivisionError("series division needs a nonzero constant term")
     rem = list(a[: emax + 1])
@@ -82,7 +82,7 @@ def qp_divseries(a: QPoly, b: QPoly, emax: int) -> QPoly:
     return qp_normalize(rem)
 
 
-Factor = tuple[int, int, int | Fraction, int]
+Factor = tuple[int, int, int, int]
 
 
 def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[OffsetPoly]:
@@ -91,9 +91,8 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[O
     in offset form. The factors are listed or mapped to multiplicities;
     repeats are merged. The power sum Q_m maps q^e, e <= emax, to the sum of
     r sign^(k+1) c^k over the factors with r k = m and t k = e, and by
-    Newton's identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m).
-    Integer c gives integer rows: the division by n is exact (ArithmeticError
-    otherwise)."""
+    Newton's identities (Macdonald I.2), n F_n = sum_(m=1..n) Q_m F_(n-m),
+    where the division by n is exact on ints."""
     merged = Counter(factors)
     if nmax < 0 or emax < 0 or any(r < 1 or t < 0 or s not in (1, -1) for r, s, _, t in merged):
         raise ValueError("need r >= 1, t >= 0, sign +1 or -1 and nonnegative bounds")
@@ -153,16 +152,18 @@ def qp_det(matrix: Sequence[Sequence[QPoly]], emax: int) -> QPoly:
     return m[-1][-1] if n else [1]
 
 
-def qp_eval_float(poly: QPoly, q: float) -> float:
-    acc = 0.0
+def qp_eval_float(poly: Sequence[int], q: float) -> tuple[float, float]:
+    """r(q) and q r'(q) of the polynomial r, together in one Horner loop."""
+    value = slope = 0.0
     for c in reversed(poly):
-        acc = acc * q + c
-    return acc
+        slope = slope * q + value
+        value = value * q + c
+    return value, slope * q
 
 
 def qp_weighted_eval_float(poly: QPoly, q: float, scale: float) -> float:
-    """Sum of scale * t * c_t * q^t, the energy-weighted companion of
-    qp_eval_float when powers of q carry energy."""
+    """Sum of scale * t * c_t * q^t by a forward sum: scale times the slope
+    of qp_eval_float, computed another way, for the tests."""
     acc = 0.0
     qt = 1.0
     for t, c in enumerate(poly):

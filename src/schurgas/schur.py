@@ -12,11 +12,12 @@ q-polynomial packed into one int at q = 2^W and unpacked at the end into
 the kernel's offset form (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
-`schur_tableau` sums semistandard Young tableaux (total: repeated and zero
-coordinates are fine); `schur_bialternant` is det(x_i^(lam_j + M - j)) /
-det(x_i^(M - j)), which needs pairwise-distinct coordinates: the numerator by
-the kernel's one determinant (`qp_det` on int constants, cut at 0), the
-denominator as the Vandermonde product prod_(i<j) (x_i - x_j)."""
+`schur_tableau` sums semistandard Young tableaux on ints at D x, as the
+engine's integer front does (total: repeated and zero coordinates are fine);
+`schur_bialternant` is det(x_i^(lam_j + M - j)) / det(x_i^(M - j)), which
+needs pairwise-distinct coordinates: the numerator by the kernel's one
+determinant (`qp_det` on int constants, cut at 0), the denominator as the
+Vandermonde product prod_(i<j) (x_i - x_j)."""
 
 from __future__ import annotations
 
@@ -40,6 +41,14 @@ def as_point(values: Sequence[Rational | str]) -> EvalPoint:
     return tuple(Fraction(v) for v in values)
 
 
+def check_distinct(xs: EvalPoint) -> None:
+    """Raise DistinctnessViolation when two coordinates coincide, naming the
+    point as output prints it: num/den, joined by commas."""
+    if len(set(xs)) != len(xs):
+        raise DistinctnessViolation("repeated coordinate in point "
+                                    + ",".join(f"{x.numerator}/{x.denominator}" for x in xs))
+
+
 def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
     """D and the integers D x_i, with D the lcm of the denominators: a
     function homogeneous of degree k has its value at xs equal to its value
@@ -48,7 +57,7 @@ def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
 
-def _tableau_sum(lam: Partition, weights: Sequence[Rational], caps: Sequence[int]) -> Rational:
+def _tableau_sum(lam: Partition, weights: Sequence[int], caps: Sequence[int]) -> int:
     """Sum over the semistandard tableaux of shape lam with entries in
     1..len(weights), entry v used at most caps[v-1] times, of the product of
     weights[v-1] over the cells. The cells are filled in reading order from
@@ -89,7 +98,8 @@ def _tableau_sum(lam: Partition, weights: Sequence[Rational], caps: Sequence[int
 def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     """Schur function s_lam at the given point, as the content sum over all
     semistandard Young tableaux of shape lam with entries in {1..M}; a zero
-    coordinate's entry is skipped.
+    coordinate's entry is skipped. The sum runs on ints at D x
+    (clear_denominators) and is divided by D^|lam| once.
 
     Returns 0 when lam has more parts than there are coordinates, and 1 for
     the empty partition.
@@ -97,7 +107,8 @@ def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     xs = as_point(point)
     if len(lam) > len(xs):
         return Fraction(0)
-    return Fraction(_tableau_sum(lam, xs, [sum(lam) if x else 0 for x in xs]))
+    scale, ys = clear_denominators(xs)
+    return Fraction(_tableau_sum(lam, ys, [sum(lam) if y else 0 for y in ys]), scale ** sum(lam))
 
 
 def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
@@ -107,9 +118,8 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
     denominator vanishes there; use schur_tableau instead).
     """
     xs = as_point(point)
+    check_distinct(xs)
     m = len(xs)
-    if len(set(xs)) != m:
-        raise DistinctnessViolation(f"repeated coordinate in point {xs}")
     if len(lam) > m:
         return Fraction(0)
     padded = tuple(lam) + (0,) * (m - len(lam))

@@ -25,8 +25,7 @@ from math import lcm, prod
 from typing import NamedTuple, Sequence
 
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
-from .schur import (DistinctnessViolation, EvalPoint, Rational, as_point, clear_denominators,
-                    schur_int_sums)
+from .schur import EvalPoint, Rational, as_point, check_distinct, clear_denominators, schur_int_sums
 from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
 
 
@@ -82,12 +81,10 @@ def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -
 PRODUCT_FAMILIES = ("bose", "fermi", "hst", "even-rows", "even-cols")
 
 
-def product_factors(
-    kind: StatisticsKind, monomials: Sequence[tuple[Rational, int]]
-) -> list[Factor]:
+def product_factors(kind: StatisticsKind, monomials: Sequence[tuple[int, int]]) -> list[Factor]:
     """The factors (see qp_power_sum_rows) of the closed product of the
-    grand series at the point x_i = c_i q^(t_i), given as the monomials
-    (c_i, t_i); X_i = z x_i, so z counts particles:
+    grand series at the point x_i = c_i q^(t_i), given as the int monomials
+    (c_i, t_i), so the factors are int too; X_i = z x_i, so z counts particles:
 
     bose:       prod_i 1/(1 - X_i)
     fermi:      prod_i (1 + X_i)
@@ -142,9 +139,8 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     xs = as_point(point)
+    check_distinct(xs)
     m = len(xs)
-    if len(set(xs)) != m:
-        raise DistinctnessViolation(f"repeated coordinate in point {xs}")
     # X_j = z x_j = w y_j with y_j = D x_j integral and w = z / D, so the
     # determinants are integer series in w. Row i over w^i has entries
     # y^i (y^(T-2i) w^(T-2i) - 1), and T - 2i >= 1.

@@ -3,9 +3,10 @@
 Everything upstream is exact; floating point enters only here, at the final
 substitution. For a spectrum on the half-quantum grid the N-particle weight
 is an integer polynomial in qh = e^(-beta hw / 2), computed once per
-(statistics, spectrum, truncation) and cached. One Horner pass at qh gives
-every term that depends on beta alone, each sector's mean energy among
-them, so a request makes it once and each mu-solver step only the per-mu sums.
+(statistics, spectrum, truncation) and cached. One Horner pass at qh,
+`qp_eval_float`, gives every term that depends on beta alone, each sector's
+mean energy among them, so a request makes it once and each mu-solver step
+only the per-mu sums.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .equivalence import SpectrumSpec
-from .qpoly import qp_power_sum_rows
+from .qpoly import qp_eval_float, qp_power_sum_rows
 from .schur import schur_qpoly_sums
 from .series import product_factors
 from .statistics import StatisticsKind, admitted_partitions
@@ -84,16 +85,6 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     return tuple((low, tuple(coeffs)) for low, coeffs in polys)
 
 
-def _horner_with_slope(coeffs, q: float) -> tuple[float, float]:
-    """r(q) and q r'(q) of the polynomial with these coefficients, together
-    in one Horner loop."""
-    value = slope = 0.0
-    for c in reversed(coeffs):
-        slope = slope * q + value
-        value = value * q + c
-    return value, slope * q
-
-
 def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):
     """The beta-only half of evaluate: each N's terms (a_N, b_N, e_N) of
     log qh^(d_N) r_N(qh) = -a_N + b_N, a_N = d_N beta/2 and b_N = log r_N(qh),
@@ -104,7 +95,7 @@ def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: 
     terms = []
     try:
         for low, r in _weight_polys(kind, spec.qpoly_exponents(), nmax):
-            value, slope = _horner_with_slope(r, qh)
+            value, slope = qp_eval_float(r, qh)
             if not (value < math.inf and slope < math.inf):
                 raise OverflowError
             terms.append((low * beta_hw / 2, math.log(value), low / 2 + 0.5 * slope / value)

@@ -254,6 +254,11 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_repeated_coordinate_error_prints_the_point_as_output_does(capsys):
+    code, out, err = invoke(capsys, ["verify", "--kind", "parafermi:2", "--point", "1,1"])
+    assert (code, out, err) == (2, "", "error: repeated coordinate in point 1/1,1/1\n")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "series.txt"
     code, out, _ = invoke(capsys, ["gpf", "--kind", "fermi", "--point", "2,3",

@@ -52,7 +52,7 @@ def full_parafermi_ratio(p, point, nmax):
     xs = as_point(point)
     m = len(xs)
     if len(set(xs)) != m:
-        raise DistinctnessViolation(f"repeated coordinate in point {xs}")
+        raise DistinctnessViolation(f"repeated coordinate in point {','.join(map(frac_str, xs))}")
     scale, ys = clear_denominators(xs)
     num = poly_det(
         [[_monomial_diff(ys[j], 2 * m + p + 1 - i, i) for j in range(m)] for i in range(1, m + 1)]

@@ -127,6 +127,13 @@ def test_bialternant_is_zero_where_the_numerator_is_singular(lam, point):
 
 @settings(max_examples=40)
 @given(lam=small_partition(max_weight=5), point=distinct_point(max_size=3))
+# the oracle sums at D x and divides by D^|lam|; brute_schur sums at x itself
+@example(lam=(2, 1), point=(Fraction(3, 2), Fraction(3, 2), Fraction(1)))  # repeated
+@example(lam=(2, 2), point=(Fraction(0), Fraction(2), Fraction(5)))  # a zero
+@example(lam=(3, 1), point=(Fraction(-1, 2), Fraction(-2, 3), Fraction(-4)))  # negatives, D = 6
+@example(lam=(2, 1, 1), point=(Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(1, 2)))
+@example(lam=(2,), point=(Fraction(0), Fraction(0)))  # all zero
+@example(lam=(), point=(Fraction(0), Fraction(0)))
 def test_tableau_matches_independent_enumeration(lam, point):
     assert schur_tableau(lam, point) == brute_schur(lam, point)
 

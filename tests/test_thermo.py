@@ -459,13 +459,13 @@ def test_target_request_makes_one_fused_horner_pass(monkeypatch, argv):
     # r_N(qh) and qh r_N'(qh) come from one Horner loop per sector, once per
     # request: the mu-solver's steps and the reported point share it
     calls = []
-    horner = schurgas.thermo._horner_with_slope
+    horner = schurgas.thermo.qp_eval_float
 
     def counted(coeffs, q):
         calls.append((coeffs, q, horner(coeffs, q)))
         return calls[-1][2]
 
-    monkeypatch.setattr(schurgas.thermo, "_horner_with_slope", counted)
+    monkeypatch.setattr(schurgas.thermo, "qp_eval_float", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["thermo", *argv]) == 0
     assert len(calls) == int(argv[argv.index("--nmax") + 1]) + 1
