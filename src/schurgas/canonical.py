@@ -5,8 +5,8 @@ N at once at the same cleared point."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .qpoly import OffsetPoly
 from .schur import Rational, as_point, clear_denominators, schur_int_sums, schur_qpoly_sums

@@ -11,12 +11,10 @@ Each handler returns an `Output` of plain values; `_emit` formats it.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Iterable, NamedTuple
 
 from .canonical import z_canonical
 from .equivalence import (build_spectrum, check_equivalence, gpf_bose_biseries,
@@ -77,9 +75,9 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
-def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
-    """Distinct positive rationals; distinctness keeps the determinant
-    backends usable on the same point."""
+def random_point(rng, size: int) -> tuple[Fraction, ...]:
+    """Distinct positive rationals drawn with rng, a `random.Random`;
+    distinctness keeps the determinant backends usable on the same point."""
     seen: list[Fraction] = []
     while len(seen) < size:
         x = Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -88,17 +86,13 @@ def random_point(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return tuple(seen)
 
 
-class Output(NamedTuple):
+class Output(namedtuple("Output", "code record header rows lines")):
     """What a handler found, before any formatting: the exit code, the JSON
     record, the CSV header and rows, and the text lines. Only the format asked
     for is consumed: rows and lines may be generators, and the record is a
     zero-argument callable, so what only JSON prints is built only for JSON."""
 
-    code: int
-    record: Callable[[], Any]
-    header: tuple[str, ...]
-    rows: Iterable[tuple]
-    lines: Iterable[str]
+    __slots__ = ()
 
 
 _INDENTED_JSON = frozenset({"verify", "equivalence"})
@@ -114,6 +108,8 @@ def _emit(args: argparse.Namespace, out: Output) -> int:
     """Write the output in the requested format; the only code that turns a
     result into bytes. Returns the handler's exit code."""
     if args.format == "json":
+        import json  # only JSON output needs it, so other runs start without it
+
         indent = 2 if args.subcommand in _INDENTED_JSON else None
         text = json.dumps(out.record(), default=frac_str, indent=indent) + "\n"
     elif args.format == "csv":
@@ -217,11 +213,12 @@ def _cmd_gpf(args: argparse.Namespace) -> Output:
 
 def _cmd_verify(args: argparse.Namespace) -> Output:
     kinds = [parse_kind(k) for k in VERIFY_ALL_KINDS] if args.all else [args.kind]
-    rng = random.Random(args.seed)
     if args.point is not None:
         points = [args.point]
     else:
-        points = [tuple(Fraction(p) for p in (2, 3, 5)), random_point(rng, 3)]
+        import random  # only the drawn second point needs it
+
+        points = [tuple(Fraction(p) for p in (2, 3, 5)), random_point(random.Random(args.seed), 3)]
     reports = [verify_identity(kind, point, args.nmax) for kind in kinds for point in points]
     return Output(
         0 if all(r.equal for r in reports) else 1,

@@ -22,9 +22,7 @@ computation, only the docs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .qpoly import qp_power_sum_rows
 
@@ -40,27 +38,29 @@ def eq1_degeneracy(m: int) -> int:
     return sum(1 for n in range(m + 1) if m - 2 * n >= 0)
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(namedtuple("SpectrumSpec", "levels qmax")):
     """Single-particle levels as (energy in half-quanta, degeneracy) pairs,
     energies odd and strictly increasing, plus the q-truncation bound the
     spectrum was built for."""
 
-    levels: tuple[tuple[int, int], ...]
-    qmax: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.qmax < 1:
+    def __new__(cls, levels: tuple[tuple[int, int], ...], qmax: int):
+        if qmax < 1:
             raise ValueError("qmax must be positive")
-        if not self.levels:
+        if not levels:
             raise ValueError("spectrum needs at least one level")
         prev = 0
-        for energy, degeneracy in self.levels:
+        for energy, degeneracy in levels:
             if energy <= prev or energy % 2 == 0:
                 raise ValueError("energies must be odd and strictly increasing")
             if degeneracy < 1:
                 raise ValueError("degeneracies must be positive")
             prev = energy
+        return super().__new__(cls, levels, qmax)
+
+    # copy and pickle call __new__; _replace calls _make, which would skip it
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def alpha_exponents(self) -> tuple[int, ...]:
         """q-exponent carried by each level's Boltzmann factor once the
@@ -129,18 +129,16 @@ def gpf_evencols_biseries(spec: SpectrumSpec) -> Table:
     return _product_biseries(_pair_factors(spec), spec.qmax)
 
 
-class EquivalenceReport(NamedTuple):
-    """The verdict `equal` and the first differing cell `first_mismatch`
-    (see check_equivalence), the per-level degeneracies and a
-    factor-multiplicity audit: for each q-exponent t, the Bose multiplicity
-    (degeneracy of the level feeding q^t) against the number of pairs summing
-    to t. Matching audits imply matching series."""
+class EquivalenceReport(namedtuple("EquivalenceReport",
+                                   "qmax equal first_mismatch degeneracy_table factor_audit")):
+    """The verdict `equal` and the first differing cell `first_mismatch`, an
+    (a, q) exponent pair or None (see check_equivalence), the per-level
+    (m, degeneracy) pairs and a factor-multiplicity audit of (t, bose, pairs)
+    triples: for each q-exponent t, the Bose multiplicity (degeneracy of the
+    level feeding q^t) against the number of pairs summing to t. Matching
+    audits imply matching series."""
 
-    qmax: int
-    equal: bool
-    first_mismatch: tuple[int, int] | None
-    degeneracy_table: tuple[tuple[int, int], ...]
-    factor_audit: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
 
 def _pair_count(t: int) -> int:

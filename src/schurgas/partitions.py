@@ -7,7 +7,7 @@ so tuple equality is partition equality.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 Partition = tuple[int, ...]
 

@@ -19,9 +19,9 @@ Everything here is a plain function on lists, so there is no class.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
 
 QPoly = list[int]
 OffsetPoly = tuple[int, QPoly]

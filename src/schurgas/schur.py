@@ -21,9 +21,9 @@ Vandermonde product prod_(i<j) (x_i - x_j)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Sequence
 
 from .partitions import Partition, conjugate
 from .qpoly import OffsetPoly, qp_det

@@ -20,12 +20,13 @@ X_i^2 carries z^2.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm, prod
-from typing import NamedTuple, Sequence
 
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
-from .schur import EvalPoint, Rational, as_point, check_distinct, clear_denominators, schur_int_sums
+from .schur import Rational, as_point, check_distinct, clear_denominators, schur_int_sums
 from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
 
 
@@ -37,11 +38,10 @@ class DivisionInconsistency(ArithmeticError):
     """The determinant ratio could not be expanded as a power series."""
 
 
-class FugacitySeries(NamedTuple):
+class FugacitySeries(namedtuple("FugacitySeries", "scale ints")):
     """sum c_N z^N to z^nmax as ints[N] = scale^N c_N, nmax = len(ints) - 1."""
 
-    scale: int
-    ints: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -162,16 +162,12 @@ def gpf_parafermi_det(p: int, point: Sequence[Rational], nmax: int) -> FugacityS
 # Identity verification.
 
 
-class IdentityReport(NamedTuple):
-    """Coefficientwise comparison of the defining sum against a closed form."""
+class IdentityReport(namedtuple("IdentityReport",
+                                "kind point nmax lhs rhs equal first_mismatch")):
+    """Coefficientwise comparison of the defining sum `lhs` against a closed
+    form `rhs`, both FugacitySeries, with the first differing N or None."""
 
-    kind: StatisticsKind
-    point: EvalPoint
-    nmax: int
-    lhs: FugacitySeries
-    rhs: FugacitySeries
-    equal: bool
-    first_mismatch: int | None
+    __slots__ = ()
 
 
 def gpf_closed_form(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:

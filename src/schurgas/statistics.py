@@ -11,8 +11,7 @@ JSON output.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .partitions import Partition, count_partitions, count_parts, iter_partitions
 
@@ -32,8 +31,7 @@ class UnsupportedKind(ValueError):
     """An operation was asked for a statistics it does not cover."""
 
 
-@dataclass(frozen=True)
-class StatisticsKind:
+class StatisticsKind(namedtuple("StatisticsKind", "family p q")):
     """Tagged statistics family.
 
     `p` is the order of parafermi/parabose, or the row-count bound of pq;
@@ -41,21 +39,23 @@ class StatisticsKind:
     of the series modules). Both are None for the parameter-free families.
     """
 
-    family: str
-    p: int | None = None
-    q: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown statistics family: {self.family!r}")
-        if self.family in ("parafermi", "parabose"):
-            if self.p is None or self.p < 1 or self.q is not None:
-                raise ValueError(f"{self.family} needs a single positive order")
-        elif self.family == "pq":
-            if self.p is None or self.q is None or self.p < 1 or self.q < 1:
+    def __new__(cls, family: str, p: int | None = None, q: int | None = None):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown statistics family: {family!r}")
+        if family in ("parafermi", "parabose"):
+            if p is None or p < 1 or q is not None:
+                raise ValueError(f"{family} needs a single positive order")
+        elif family == "pq":
+            if p is None or q is None or p < 1 or q < 1:
                 raise ValueError("pq needs two positive bounds")
-        elif self.p is not None or self.q is not None:
-            raise ValueError(f"{self.family} takes no parameters")
+        elif p is not None or q is not None:
+            raise ValueError(f"{family} takes no parameters")
+        return super().__new__(cls, family, p, q)
+
+    # copy and pickle call __new__; _replace calls _make, which would skip it
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self) -> str:
         return kind_name(self)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .equivalence import SpectrumSpec
 from .qpoly import qp_eval_float, qp_power_sum_rows
@@ -44,24 +43,23 @@ def _check_beta_nmax(beta_hw: float, nmax: int) -> None:
         raise ValueError("nmax must be at least 1")
 
 
-@dataclass(frozen=True)
-class ThermoParams:
-    beta_hw: float
-    mu_over_hw: float
-    nmax: int
+class ThermoParams(namedtuple("ThermoParams", "beta_hw mu_over_hw nmax")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_beta_nmax(self.beta_hw, self.nmax)
-        if not math.isfinite(self.mu_over_hw):
+    def __new__(cls, beta_hw: float, mu_over_hw: float, nmax: int):
+        _check_beta_nmax(beta_hw, nmax)
+        if not math.isfinite(mu_over_hw):
             raise ValueError("mu_over_hw must be finite")
-        if not math.isfinite(self.beta_hw * self.mu_over_hw):
+        if not math.isfinite(beta_hw * mu_over_hw):
             raise ValueError("beta_hw * mu_over_hw (log fugacity) must be finite")
+        return super().__new__(cls, beta_hw, mu_over_hw, nmax)
+
+    # copy and pickle call __new__; _replace calls _make, which would skip it
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class ThermoResult(NamedTuple):
-    logZ: float
-    mean_n: float
-    mean_e_over_hw: float
+class ThermoResult(namedtuple("ThermoResult", "logZ mean_n mean_e_over_hw")):
+    __slots__ = ()
 
 
 # Bounded: a solve or a sweep reuses one key many times, so a few working

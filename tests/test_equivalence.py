@@ -1,4 +1,6 @@
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -68,6 +70,53 @@ def test_spectrum_validation():
         SpectrumSpec(((3, 0),), 2)  # dead level
     with pytest.raises(ValueError):
         SpectrumSpec((), 2)
+
+
+def test_spectrum_is_a_validated_value():
+    spec = SpectrumSpec(((1, 1), (3, 2)), 2)
+    assert spec == SpectrumSpec(((1, 1), (3, 2)), qmax=2) == (((1, 1), (3, 2)), 2)
+    assert hash(spec) == hash(SpectrumSpec(((1, 1), (3, 2)), 2)) == hash((((1, 1), (3, 2)), 2))
+    assert spec != SpectrumSpec(((1, 1), (3, 2)), 3) and spec != SpectrumSpec(((1, 1),), 2)
+    assert build_spectrum("eq2", 3) == build_spectrum("eq2", 3)
+    assert len({spec, SpectrumSpec(((1, 1), (3, 2)), 2), build_spectrum("eq1", 2)}) == 2
+    assert repr(spec) == "SpectrumSpec(levels=((1, 1), (3, 2)), qmax=2)"
+    levels, qmax = spec
+    assert (levels, qmax) == (spec.levels, spec.qmax)
+    with pytest.raises(AttributeError):
+        spec.qmax = 3
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((((1, 1),), 0), "qmax must be positive"),
+    (((), 2), "spectrum needs at least one level"),
+    ((((2, 1),), 2), "energies must be odd and strictly increasing"),
+    ((((3, 1), (3, 1)), 2), "energies must be odd and strictly increasing"),
+    ((((3, 1), (1, 1)), 2), "energies must be odd and strictly increasing"),
+    ((((-1, 1),), 2), "energies must be odd and strictly increasing"),
+    ((((3, 0),), 2), "degeneracies must be positive"),
+])
+def test_spectrum_validation_messages(fields, message):
+    with pytest.raises(ValueError) as exc:
+        SpectrumSpec(*fields)
+    assert str(exc.value) == message
+
+
+def test_spectrum_rebuilds_are_validated():
+    spec = build_spectrum("eq1", 3)
+    assert spec._replace(qmax=5) == SpectrumSpec(spec.levels, 5)
+    with pytest.raises(ValueError, match="^qmax must be positive$"):
+        spec._replace(qmax=0)
+    with pytest.raises(ValueError, match="^degeneracies must be positive$"):
+        spec._replace(levels=((3, 0),))
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert type(twin) is SpectrumSpec and twin == spec
+    forged = tuple.__new__(SpectrumSpec, ((), 2))
+    with pytest.raises(ValueError, match="^spectrum needs at least one level$"):
+        copy.copy(forged)
+    with pytest.raises(ValueError, match="^spectrum needs at least one level$"):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_spectrum_accessors():

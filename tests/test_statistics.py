@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -10,6 +12,7 @@ from schurgas.statistics import (
     EVEN_ROWS,
     FERMI,
     HST,
+    StatisticsKind,
     UnsupportedKind,
     admits,
     admitted_count,
@@ -114,6 +117,60 @@ def test_order_parameters_validated():
         parabose(-1)
     with pytest.raises(ValueError):
         pq(1, 0)
+
+
+def test_kind_is_a_validated_value():
+    # equal and hashed by its fields, as the frozen dataclass it was; as a
+    # namedtuple it also equals, and iterates as, the plain field tuple
+    assert parafermi(2) == StatisticsKind("parafermi", p=2) == ("parafermi", 2, None)
+    assert hash(parafermi(2)) == hash(StatisticsKind("parafermi", 2)) == hash(("parafermi", 2, None))
+    assert parafermi(2) != parafermi(3) and BOSE != FERMI and pq(2, 3) != pq(3, 2)
+    assert len({BOSE, StatisticsKind("bose"), FERMI, parse_kind("fermi")}) == 2
+    assert tuple(pq(2, 3)) == ("pq", 2, 3)
+    assert repr(parafermi(2)) == "StatisticsKind(family='parafermi', p=2, q=None)"
+    assert repr(BOSE) == "StatisticsKind(family='bose', p=None, q=None)"
+    assert repr(pq(2, 3)) == "StatisticsKind(family='pq', p=2, q=3)"
+    assert str(pq(2, 3)) == "pq:2:3"
+    with pytest.raises(AttributeError):
+        BOSE.family = "fermi"
+    with pytest.raises(AttributeError):
+        BOSE.extra = 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("boltzmann",), "unknown statistics family: 'boltzmann'"),
+    (("parafermi",), "parafermi needs a single positive order"),
+    (("parafermi", 0), "parafermi needs a single positive order"),
+    (("parafermi", 2, 3), "parafermi needs a single positive order"),
+    (("parabose", -1), "parabose needs a single positive order"),
+    (("pq", 2), "pq needs two positive bounds"),
+    (("pq", 0, 1), "pq needs two positive bounds"),
+    (("pq", 1, 0), "pq needs two positive bounds"),
+    (("bose", 1), "bose takes no parameters"),
+    (("even-cols", None, 2), "even-cols takes no parameters"),
+])
+def test_kind_validation_messages(fields, message):
+    with pytest.raises(ValueError) as exc:
+        StatisticsKind(*fields)
+    assert str(exc.value) == message
+
+
+def test_kind_rebuilds_are_validated():
+    assert parafermi(2)._replace(p=3) == parafermi(3)
+    with pytest.raises(ValueError, match="^parafermi needs a single positive order$"):
+        parafermi(2)._replace(p=0)
+    with pytest.raises(ValueError, match="^bose takes no parameters$"):
+        StatisticsKind._make(("bose", 1, None))
+    for kind in (BOSE, parafermi(2), pq(2, 3)):
+        for twin in (copy.copy(kind), copy.deepcopy(kind), pickle.loads(pickle.dumps(kind))):
+            assert type(twin) is StatisticsKind and twin == kind
+    # copy and pickle rebuild through the checks: a value forged past them
+    # does not survive either
+    forged = tuple.__new__(StatisticsKind, ("bose", 1, None))
+    with pytest.raises(ValueError, match="^bose takes no parameters$"):
+        copy.copy(forged)
+    with pytest.raises(ValueError, match="^bose takes no parameters$"):
+        pickle.loads(pickle.dumps(forged))
 
 
 ALL_FAMILIES = (

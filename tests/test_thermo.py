@@ -1,9 +1,11 @@
 import contextlib
+import copy
 import hashlib
 import importlib.util
 import io
 import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -41,6 +43,54 @@ def test_params_validation():
                      (2.0, 1e308), (2.0, -1e308)):
         with pytest.raises(ValueError):
             ThermoParams(beta, mu, 8)
+
+
+def test_params_are_a_validated_value():
+    params = ThermoParams(1.0, -0.5, 8)
+    assert params == ThermoParams(beta_hw=1.0, mu_over_hw=-0.5, nmax=8) == (1.0, -0.5, 8)
+    assert hash(params) == hash(ThermoParams(1.0, -0.5, 8)) == hash((1.0, -0.5, 8))
+    assert params != ThermoParams(1.0, -0.25, 8) and params != ThermoParams(1.0, -0.5, 9)
+    assert len({params, ThermoParams(1.0, -0.5, 8), ThermoParams(2.0, -0.5, 8)}) == 2
+    assert repr(params) == "ThermoParams(beta_hw=1.0, mu_over_hw=-0.5, nmax=8)"
+    beta, mu, nmax = params
+    assert (beta, mu, nmax) == (params.beta_hw, params.mu_over_hw, params.nmax)
+    with pytest.raises(AttributeError):
+        params.nmax = 9
+    with pytest.raises(AttributeError):
+        params.extra = 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((0.0, 0.0, 8), "beta_hw must be positive and finite"),
+    ((-1.0, 0.0, 8), "beta_hw must be positive and finite"),
+    ((math.inf, -1.0, 8), "beta_hw must be positive and finite"),
+    ((math.nan, -1.0, 8), "beta_hw must be positive and finite"),
+    ((1.0, 0.0, 0), "nmax must be at least 1"),
+    ((1.0, math.nan, 8), "mu_over_hw must be finite"),
+    ((1.0, -math.inf, 8), "mu_over_hw must be finite"),
+    ((2.0, 1e308, 8), "beta_hw * mu_over_hw (log fugacity) must be finite"),
+    ((2.0, -1e308, 8), "beta_hw * mu_over_hw (log fugacity) must be finite"),
+])
+def test_params_validation_messages(fields, message):
+    with pytest.raises(ValueError) as exc:
+        ThermoParams(*fields)
+    assert str(exc.value) == message
+
+
+def test_params_rebuilds_are_validated():
+    params = ThermoParams(1.0, -0.5, 8)
+    assert params._replace(nmax=4) == ThermoParams(1.0, -0.5, 4)
+    with pytest.raises(ValueError, match="^nmax must be at least 1$"):
+        params._replace(nmax=0)
+    with pytest.raises(ValueError, match="^mu_over_hw must be finite$"):
+        params._replace(mu_over_hw=math.nan)
+    for twin in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert type(twin) is ThermoParams and twin == params
+    forged = tuple.__new__(ThermoParams, (0.0, 0.0, 8))
+    with pytest.raises(ValueError, match="^beta_hw must be positive and finite$"):
+        copy.copy(forged)
+    with pytest.raises(ValueError, match="^beta_hw must be positive and finite$"):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_single_level_bose_matches_geometric_occupancy():
