@@ -39,7 +39,8 @@ SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 # The `partitions` envelope, checked before any shape is generated: the count
 # takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
 # up to 0.35 us a part (1 s at either). The parts are bounded by the count
-# times min(n, rows) and, past the limit, counted exactly in about n rows steps.
+# times min(n, rows) and, past the limit, counted exactly in about n rows
+# steps, or n columns steps where the row bound does not bind.
 PARTITIONS_MAX_BOXES = 4000
 PARTITIONS_MAX_SHAPES = 100_000
 PARTITIONS_MAX_PARTS = 3_000_000

@@ -82,9 +82,17 @@ def count_parts(n: int, max_parts: int, max_part: int | None = None) -> int:
     """The total number of parts over iter_partitions(n, max_parts, max_part),
     without listing one. Of the a_r partitions (r = min(max_parts, n)),
     a_r - a_(k-1) have k parts or more, so the total is r a_r - sum_(k<r) a_k:
-    one pass of _box_counts on the row bound, about r n steps."""
-    r = min(max_parts, n)
-    *below, count = _box_counts(n, r, n if max_part is None else min(max_part, n))
+    one pass of _box_counts on the row bound, about r n steps. Where the row
+    bound does not bind, part j occurs k times or more in p_c(n - jk) of them
+    (p_c: partitions with parts at most c, the column bound), about c n steps."""
+    r, cols = min(max_parts, n), n if max_part is None else min(max_part, n)
+    if r == n >= 0:
+        p_c = [1] + [0] * n
+        for j in range(1, cols + 1):
+            for m in range(j, n + 1):
+                p_c[m] += p_c[m - j]
+        return sum(p_c[n - j * k] for j in range(1, cols + 1) for k in range(1, n // j + 1))
+    *below, count = _box_counts(n, r, cols)
     return r * count - sum(below)
 
 

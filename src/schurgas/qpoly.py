@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from operator import add
 
 QPoly = list[int]
@@ -104,11 +103,10 @@ def qp_power_sum_rows(factors: Iterable[Factor], nmax: int, emax: int) -> list[O
         for k in range(1, min(last // r, emax // t if t else last) + 1):
             terms = power_sums[r * k]
             terms[t * k] = terms.get(t * k, 0) + mult * r * sign ** (k + 1) * c ** k
-    # F_n has degree at most n times the largest t / r
-    slope = max((Fraction(t, r) for r, _, _, t in merged), default=0)
     rows: list[OffsetPoly] = [(0, [1])]
     for n in range(1, last + 1):
-        top = min(emax, int(n * slope))
+        # F_n has degree at most n times the largest t / r; floor is monotone
+        top = min(emax, max((n * t // r for r, _, _, t in merged), default=0))
         acc = [0] * (top + 1)
         for m in range(1, n + 1):
             low, prev = rows[n - m]

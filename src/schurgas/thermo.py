@@ -1,29 +1,31 @@
-"""Numeric thermodynamics on top of the exact canonical polynomials.
+"""Numeric thermodynamics on top of the exact canonical weights.
 
 Everything upstream is exact; floating point enters only here, at the final
-substitution. For a spectrum on the half-quantum grid the N-particle weight
-is an integer polynomial in qh = e^(-beta hw / 2), computed once per
-(statistics, spectrum, truncation) and cached. One Horner pass at qh,
-`qp_eval_float`, gives every term that depends on beta alone, each sector's
-mean energy among them, so a request makes it once and each mu-solver step
-only the per-mu sums.
+substitution qh = e^(-beta hw / 2) on the half-quantum grid. One beta pass
+gives every term that depends on beta alone, each sector's mean energy among
+them, so a request makes it once and each mu-solver step only the per-mu
+sums. bose, hst, even-rows and even-cols make it from a cached int plan of
+their product's power sums, in floats at qh; the other kinds by a Horner
+pass, `qp_eval_float`, over cached exact polynomials in qh.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from operator import mul
 
 from .equivalence import SpectrumSpec
-from .qpoly import qp_eval_float, qp_power_sum_rows
+from .qpoly import qp_eval_float
 from .schur import schur_qpoly_sums
 from .series import product_factors
 from .statistics import StatisticsKind, admitted_partitions
 
 TAIL_BOUND = 1e-9
 MU_REL_TOL = 1e-8
+POSITIVE_FAMILIES = ("bose", "hst", "even-rows", "even-cols")
 
 
 class TruncationTail(ArithmeticError):
@@ -72,28 +74,64 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     Each is stored in the producers' offset form as (d_N, (c_d, c_(d+1), ...)),
     so Z_N = qh^(d_N) r_N(qh) with r_N(0) >= 1. The zero polynomial is (0, ()).
     """
-    # No shape of weight n has degree above n * max(exponents), so one cap
-    # at nmax keeps every N whole.
-    emax = nmax * max(exponents)
-    if kind.family in ("hst", "even-rows", "even-cols"):  # the closed product builds faster
-        polys = qp_power_sum_rows(product_factors(kind, [(1, e) for e in exponents]), nmax, emax)
-    else:  # every N shares one branching-rule sweep
-        groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
-        polys = schur_qpoly_sums(exponents, emax, groups)
+    # Every N shares one branching-rule sweep. No shape of weight n has degree
+    # above n * max(exponents), so one cap at nmax keeps every N whole.
+    groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
+    polys = schur_qpoly_sums(exponents, nmax * max(exponents), groups)
     return tuple((low, tuple(coeffs)) for low, coeffs in polys)
+
+
+@lru_cache(maxsize=16)
+def _power_sum_plan(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
+    """The beta-free int plan of a POSITIVE_FAMILIES kind, whose closed
+    product has only factors (1 - z^r q^t)^(-1). With z -> z qh^(-s),
+    s = num / den = min t / r, and w = z^step, step = gcd r, each merged (r, t)
+    is a class (r' = r / step, r' times its count, u = t den - r num) adding
+    r' count y^(u k) to the power sum at w^(r' k), y = qh^(1 / den)."""
+    merged = Counter(product_factors(kind, [(1, e) for e in exponents]))
+    den, step = math.lcm(*(f[0] for f in merged)), math.gcd(*(f[0] for f in merged)) or 1
+    num = min((t * den // r for r, _, _, t in merged), default=0)
+    return nmax, step, num, den, tuple((r // step, r // step * mult, t * den - r * num)
+                                       for (r, _, _, t), mult in merged.items())
+
+
+def _power_sum_pass(plan, qh: float):
+    """Each N's (N s, G_N, qh G_N'), G_N = qh^(-N s) Z_N(qh), in floats: by
+    Newton's identities n G_n = sum_(m=1..n) Q_m G_(n-m) in w (Macdonald
+    I.2), and by G = exp(sum_m Q_m w^m / m), qh G_n' = sum_m (qh Q_m' / m)
+    G_(n-m). All terms are positive, so the sums are forward-stable (Higham
+    ch. 4), and G_N >= 1 where Z_N has states."""
+    nmax, step, num, den, classes = plan
+    top = nmax // step
+    q, dq = [0.0] * (top + 1), [0.0] * (top + 1)  # Q_m and qh Q_m' / m
+    for r, weight, u in classes:
+        x, power, energy = qh ** (u / den), float(weight), u / den / r
+        for k in range(1, top // r + 1):
+            power *= x
+            q[r * k] += power
+            dq[r * k] += energy * power
+    g = [1.0]
+    for n in range(1, top + 1):
+        g.append(sum(map(mul, q[n:0:-1], g)) / n)
+    dg = [sum(map(mul, dq[n:0:-1], g)) for n in range(top + 1)]
+    return [(n * num / den, *((0.0, 0.0) if n % step else (g[n // step], dg[n // step])))
+            for n in range(nmax + 1)]
 
 
 def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: int):
     """The beta-only half of evaluate: each N's terms (a_N, b_N, e_N) of
     log qh^(d_N) r_N(qh) = -a_N + b_N, a_N = d_N beta/2 and b_N = log r_N(qh),
     and of its mean energy in hw units, e_N = d_N/2 + qh r_N'(qh) / (2 r_N(qh))
-    (the q^t coefficient carries energy t/2). b_N is None for an N without
+    (the q^t coefficient carries energy t/2), from `_power_sum_pass` (d_N = N s)
+    or a Horner pass over `_weight_polys`. b_N is None for an N without
     states; r_N(qh) >= 1 for every N with states."""
     qh = math.exp(-beta_hw / 2)
+    key = (kind, spec.qpoly_exponents(), nmax)
     terms = []
     try:
-        for low, r in _weight_polys(kind, spec.qpoly_exponents(), nmax):
-            value, slope = qp_eval_float(r, qh)
+        sectors = (_power_sum_pass(_power_sum_plan(*key), qh) if kind.family in POSITIVE_FAMILIES
+                   else [(low, *qp_eval_float(r, qh)) for low, r in _weight_polys(*key)])
+        for low, value, slope in sectors:
             if not (value < math.inf and slope < math.inf):
                 raise OverflowError
             terms.append((low * beta_hw / 2, math.log(value), low / 2 + 0.5 * slope / value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurgas import cli, statistics, thermo
+from schurgas import cli, partitions, statistics, thermo
 from schurgas.cli import run
 from schurgas.equivalence import SpectrumSpec
 
@@ -53,6 +53,26 @@ def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason)
     code, out, err = invoke(capsys, ["partitions", *argv])
     assert (code, out) == (2, "")
     assert reason in err
+
+
+def test_partitions_refusal_counts_parts_by_columns(capsys, monkeypatch):
+    # parafermi:2 binds the columns (2) and not the rows (n): the exact total
+    # comes from the column count, and no Gaussian-binomial pass runs on more
+    # than 2 rows, where the row pass would take 4,000
+    rows = []
+    box_counts = partitions._box_counts
+
+    def counted(n, r, cols):
+        rows.append(r)
+        return box_counts(n, r, cols)
+
+    monkeypatch.setattr(partitions, "_box_counts", counted)
+    monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
+    code, out, err = invoke(capsys, ["partitions", "4000", "--kind", "parafermi:2"])
+    assert (code, out) == (2, "")
+    assert err == ("error: parafermi:2 admits 2001 partitions of 4000 with 6003000 parts in all, "
+                   "more than 3000000\n")
+    assert rows and max(rows) <= 2
 
 
 def test_partitions_lists_inside_its_envelope(capsys):
@@ -230,9 +250,11 @@ def test_thermo_numeric_failure_exit(capsys):
 
 def test_thermo_target_checks_beta_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(thermo, "_weight_polys", refuse_work)
-    code, out, err = invoke(capsys, ["thermo", "--kind", "bose", "--spectrum", "eq2",
-                                     "--beta", "0", "--target-n", "1"])
-    assert (code, out, err) == (2, "", "error: beta_hw must be positive and finite\n")
+    monkeypatch.setattr(thermo, "_power_sum_plan", refuse_work)
+    for kind in ("bose", "fermi"):  # the power-sum route and the engine's
+        code, out, err = invoke(capsys, ["thermo", "--kind", kind, "--spectrum", "eq2",
+                                         "--beta", "0", "--target-n", "1"])
+        assert (code, out, err) == (2, "", "error: beta_hw must be positive and finite\n")
     spec = SpectrumSpec(((1, 1),), 1)
     with pytest.raises(ValueError, match="^beta_hw must be positive and finite$"):
         thermo.solve_mu(statistics.BOSE, spec, 0.0, 1.0, 8)

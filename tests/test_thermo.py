@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import decimal
 import hashlib
 import importlib.util
 import io
@@ -7,25 +8,32 @@ import json
 import math
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
+import schurgas.qpoly
+import schurgas.schur
+import schurgas.series
 import schurgas.thermo
 from schurgas.cli import run
 from schurgas.equivalence import SpectrumSpec, build_spectrum
 from schurgas.partitions import conjugate
-from schurgas.qpoly import qp_power_sum_rows, qp_weighted_eval_float
+from schurgas.qpoly import qp_eval_float, qp_power_sum_rows, qp_weighted_eval_float
 from schurgas.schur import schur_qpoly_sums
 from schurgas.series import product_factors
 from schurgas.statistics import BOSE, FERMI, admitted_partitions, parse_kind
 from schurgas.thermo import (
     MU_REL_TOL,
+    POSITIVE_FAMILIES,
     BracketFailure,
     ThermoParams,
     TruncationTail,
+    _power_sum_pass,
+    _power_sum_plan,
     _weight_polys,
     evaluate,
     solve_mu,
@@ -200,15 +208,17 @@ def test_mean_energy_tracks_spectrum():
     assert abs(per_particle - boltzmann) < 1e-6
 
 
-def test_weight_cache_is_bounded_and_keeps_a_working_set():
-    assert _weight_polys.cache_info().maxsize is not None
-    _weight_polys.cache_clear()
-    keys = [(BOSE, (1,) * m, 4) for m in range(1, 8)]
+@pytest.mark.parametrize("cache,kind", [(_weight_polys, FERMI), (_power_sum_plan, BOSE)])
+def test_weight_cache_is_bounded_and_keeps_a_working_set(cache, kind):
+    # the engine kinds' weight polynomials and the power-sum kinds' plans
+    assert cache.cache_info().maxsize is not None
+    cache.cache_clear()
+    keys = [(kind, (1,) * m, 4) for m in range(1, 8)]
     for key in keys:
-        _weight_polys(*key)
+        cache(*key)
     for key in keys:
-        _weight_polys(*key)
-    info = _weight_polys.cache_info()
+        cache(*key)
+    info = cache.cache_info()
     assert info.currsize == 7 and info.hits == 7 and info.misses == 7
 
 
@@ -241,7 +251,20 @@ def test_beta_only_overflow_reaches_the_solver_caller(monkeypatch, coeffs, beta)
     polys = ((0, (1,)), (0, coeffs)) + ((0, ()),) * 7
     monkeypatch.setattr(schurgas.thermo, "_weight_polys", lambda *args: polys)
     with pytest.raises(TruncationTail) as info:
-        solve_mu(BOSE, SINGLE, beta, 0.5, 8)
+        solve_mu(FERMI, SINGLE, beta, 0.5, 8)
+    assert str(info.value) == "canonical weight exceeded float range; reduce nmax or beta"
+
+
+@pytest.mark.parametrize("weights", [
+    (10**400,),  # a weight beyond float range raises OverflowError
+    (10**308,) * 3,  # Q_1 = inf, so G_1 = inf
+])
+def test_power_sum_overflow_reaches_the_solver_caller(monkeypatch, weights):
+    # an infinite G_N raises what an infinite Horner value raises
+    plan = (8, 1, 0, 1, tuple((1, weight, 0) for weight in weights))
+    monkeypatch.setattr(schurgas.thermo, "_power_sum_plan", lambda *args: plan)
+    with pytest.raises(TruncationTail) as info:
+        solve_mu(BOSE, SINGLE, 1.0, 0.5, 8)
     assert str(info.value) == "canonical weight exceeded float range; reduce nmax or beta"
 
 
@@ -280,12 +303,22 @@ DIGEST_KEYS = [
 DIGEST = "787fbd7416e97a9b8f48e38f5d8fec8ba5bc0514ecb75b5b111252635b9ccabe"
 
 
+def exact_weight_polys(kind, exps, nmax):
+    """The weight polynomials of N = 0..nmax in offset form: the kernel's
+    closed product for the four positive-factor kinds (thermo evaluates
+    those in floats and builds none), the engine for the rest."""
+    if kind.family in POSITIVE_FAMILIES:
+        factors = product_factors(kind, [(1, e) for e in exps])
+        return qp_power_sum_rows(factors, nmax, nmax * max(exps))
+    return _weight_polys(kind, exps, nmax)
+
+
 def test_weight_polys_digest():
     h = hashlib.sha256()
     for key in DIGEST_KEYS:
         kind, family, qmax, nmax = key
         exps = build_spectrum(family, qmax).qpoly_exponents()
-        polys = tuple(tuple(p) for p in dense(_weight_polys(parse_kind(kind), exps, nmax)))
+        polys = tuple(tuple(p) for p in dense(exact_weight_polys(parse_kind(kind), exps, nmax)))
         h.update((repr(key) + repr(polys) + "\n").encode())
     assert h.hexdigest() == DIGEST
 
@@ -294,17 +327,29 @@ def test_weight_polys_digest():
 @pytest.mark.parametrize("family,qmax,nmax", [("eq1", 3, 12), ("eq1", 4, 8), ("eq2", 4, 10),
                                               ("eq2", 2, 12)])
 def test_product_weights_match_the_engine(kind, family, qmax, nmax):
-    # the five product kinds have a closed product, which builds hst, even-rows
-    # and even-cols; bose and fermi build on the branching-rule engine over the
-    # admitted shapes. Both routes give the same rows, and the cache holds them.
+    # the five product kinds have a closed product, and the kernel builds it
+    # the rows the branching-rule engine builds over the admitted shapes.
+    # Thermo caches the engine's rows for fermi; for the other four it runs the
+    # power sums in floats at qh, which agree with a Horner pass over the rows.
     exps = build_spectrum(family, qmax).qpoly_exponents()
     emax = nmax * max(exps)
     groups = [admitted_partitions(parse_kind(kind), n, len(exps)) for n in range(nmax + 1)]
     engine = schur_qpoly_sums(exps, emax, groups)
     product = product_factors(parse_kind(kind), [(1, e) for e in exps])
     assert qp_power_sum_rows(product, nmax, emax) == engine
-    assert _weight_polys(parse_kind(kind), exps, nmax) == tuple(
-        (low, tuple(coeffs)) for low, coeffs in engine)
+    if kind == "fermi":
+        assert _weight_polys(parse_kind(kind), exps, nmax) == tuple(
+            (low, tuple(coeffs)) for low, coeffs in engine)
+        return
+    qh = math.exp(-0.625)
+    sectors = _power_sum_pass(_power_sum_plan(parse_kind(kind), exps, nmax), qh)
+    for (ground, value, slope), (low, coeffs) in zip(sectors, engine, strict=True):
+        want_value, want_slope = qp_eval_float(coeffs, qh)
+        assert (value > 0) == bool(coeffs)
+        if coeffs:
+            assert ground == low
+            assert value == pytest.approx(want_value, rel=1e-14)
+            assert slope == pytest.approx(want_slope, rel=1e-14, abs=1e-300)
 
 
 def principal_schur(lam, m):
@@ -506,19 +551,28 @@ def ulps(got, want):
      "--qmax", "3", "--nmax", "14"],
 ])
 def test_target_request_makes_one_fused_horner_pass(monkeypatch, argv):
-    # r_N(qh) and qh r_N'(qh) come from one Horner loop per sector, once per
-    # request: the mu-solver's steps and the reported point share it
-    calls = []
-    horner = schurgas.thermo.qp_eval_float
+    # r_N(qh) and qh r_N'(qh) come from one beta pass per request: the
+    # mu-solver's steps and the reported point share it. The engine kinds make
+    # it as one Horner loop per sector, the power-sum kinds as one float pass.
+    calls, passes = [], []
+    horner, power_sum_pass = schurgas.thermo.qp_eval_float, schurgas.thermo._power_sum_pass
 
     def counted(coeffs, q):
         calls.append((coeffs, q, horner(coeffs, q)))
         return calls[-1][2]
 
+    def counted_pass(plan, qh):
+        passes.append(qh)
+        return power_sum_pass(plan, qh)
+
     monkeypatch.setattr(schurgas.thermo, "qp_eval_float", counted)
+    monkeypatch.setattr(schurgas.thermo, "_power_sum_pass", counted_pass)
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(["thermo", *argv]) == 0
-    assert len(calls) == int(argv[argv.index("--nmax") + 1]) + 1
+    if argv[1] in POSITIVE_FAMILIES:
+        assert len(passes) == 1 and not calls
+        return
+    assert len(calls) == int(argv[argv.index("--nmax") + 1]) + 1 and not passes
     # The energy term qh r'(qh) / 2 against the exact value at the same qh,
     # to 2 ulp relative, and against the forward sum of qp_weighted_eval_float,
     # whose own rounding is the larger: up to 4.3 eps from the exact value
@@ -531,3 +585,64 @@ def test_target_request_makes_one_fused_horner_pass(monkeypatch, argv):
             exact /= 2
             assert ulps(0.5 * slope, float(exact)) <= 2.0
             assert ulps(0.5 * slope, qp_weighted_eval_float(coeffs, q, 0.5)) <= 8.0
+
+
+def exact_beta_terms(polys, beta):
+    """Each sector's log Z_N and mean energy e_N from the exact polynomials at
+    the float qh that thermo uses, in 50-digit decimals (qh converts exactly):
+    None for a sector without states."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        qh = Decimal(math.exp(-beta / 2))
+        terms = []
+        for low, coeffs in polys:
+            value = slope = Decimal(0)
+            for c in reversed(coeffs):
+                slope, value = slope * qh + value, value * qh + c
+            terms.append((float(value.ln() - Decimal(low) * Decimal(beta) / 2),
+                          float(Decimal(low) / 2 + slope * qh / (2 * value))) if coeffs else None)
+    return terms
+
+
+# Measured over these keys at the three beta below: the float power sums
+# within 1.4e-15 relative of log Z_N (hst eq2 20 60; 3.5e-16 on the rest) and
+# 3.7e-16 of e_N, where a Horner pass over the exact rows stayed within
+# 3.6e-16 and 2.2e-16.
+ORACLE_REL = 5e-15
+
+
+@pytest.mark.parametrize("key", [key for key in DIGEST_KEYS if key[0] in POSITIVE_FAMILIES]
+                         + [("hst", "eq2", 20, 60)])
+def test_power_sums_match_the_exact_polynomials(key):
+    kind, family, qmax, nmax = key
+    kind, spec = parse_kind(kind), build_spectrum(family, qmax)
+    polys = exact_weight_polys(kind, spec.qpoly_exponents(), nmax)
+    for beta in (0.8, 1.25, 1.6):
+        got = schurgas.thermo._beta_terms(kind, spec, beta, nmax)
+        for n, ((a, b, e), want) in enumerate(zip(got, exact_beta_terms(polys, beta), strict=True)):
+            if want is None:  # a zero sector: odd N of the even kinds, exactly
+                assert (b, e) == (None, 0.0) and n % 2 and kind.family.startswith("even")
+                continue
+            log_z, energy = want
+            assert abs(b - a - log_z) <= ORACLE_REL * max(1.0, abs(log_z)), (n, beta)
+            assert abs(e - energy) <= ORACLE_REL * energy, (n, beta)
+
+
+@pytest.mark.parametrize("kind", POSITIVE_FAMILIES)
+def test_power_sum_kinds_build_no_polynomial(monkeypatch, kind):
+    # with the q-polynomial producers and the Horner pass unavailable, a
+    # request of each positive-factor kind still succeeds: it builds nothing
+    def refuse(*args):
+        raise AssertionError("the power-sum route builds no q-polynomial")
+
+    for module in (schurgas.qpoly, schurgas.schur, schurgas.series, schurgas.thermo):
+        for name in ("qp_power_sum_rows", "schur_qpoly_sums", "qp_eval_float"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    _power_sum_plan.cache_clear()
+    argv = ["thermo", "--kind", kind, "--spectrum", "eq2", "--qmax", "4", "--nmax", "16",
+            "--beta", "1.25", "--format", "json"]
+    for request in (["--target-n", "0.15"], ["--mu", "-1"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv + request) == 0
+        assert json.loads(out.getvalue())["mean_n"] > 0
