@@ -9,7 +9,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .qpoly import OffsetPoly
-from .schur import Rational, as_point, clear_denominators, schur_int_sums, schur_qpoly_sums
+from .schur import Rational, clear_denominators, schur_int_sums, schur_qpoly_sums
 from .statistics import StatisticsKind, admitted_partitions
 
 
@@ -18,9 +18,8 @@ def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Frac
     s_lam over the partitions of n admitted by `kind`, with length <= M.
     The sum runs on ints at the point D x of clear_denominators, by one
     schur_int_sums call, and Z_n is it over D^n. Z_0 = 1 for every kind."""
-    xs = as_point(point)
-    scale, ys = clear_denominators(xs)
-    total = schur_int_sums(ys, [admitted_partitions(kind, n, len(xs))])[0]
+    scale, ys = clear_denominators(point)
+    total = schur_int_sums(ys, [admitted_partitions(kind, n, len(ys))])[0]
     return Fraction(total, scale ** n)
 
 

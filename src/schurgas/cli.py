@@ -38,9 +38,9 @@ SCHUR_MAX_COORDS = 32
 SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 # The `partitions` envelope, checked before any shape is generated: the count
 # takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
-# up to 0.35 us a part (1 s at either). The parts are bounded by the count
-# times min(n, rows) and, past the limit, counted exactly in about n rows
-# steps, or n columns steps where the row bound does not bind.
+# up to 0.35 us a part (1 s at either). The parts lie between count x ceil(n /
+# cols) and count x min(n, rows), and only a limit between the two is checked
+# on the exact total: about n rows steps, or n cols steps where rows do not bind.
 PARTITIONS_MAX_BOXES = 4000
 PARTITIONS_MAX_SHAPES = 100_000
 PARTITIONS_MAX_PARTS = 3_000_000
@@ -51,7 +51,6 @@ EQUIVALENCE_MAX_QMAX = {"json": 160, "csv": 3000, "text": 3000}
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -136,12 +135,14 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
     if count > PARTITIONS_MAX_SHAPES:
         raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n}, "
                          f"more than {PARTITIONS_MAX_SHAPES}")
-    printed = count * min(args.n, shape_bounds(args.kind, max_parts)[0])
-    if printed > PARTITIONS_MAX_PARTS:  # past the cheap bound, count the parts exactly
-        printed = admitted_count(args.kind, args.n, max_parts, parts=True)
-    if printed > PARTITIONS_MAX_PARTS:
+    rows, cols = shape_bounds(args.kind, max_parts)
+    least, most = count * -(-args.n // (cols or args.n or 1)), count * min(args.n, rows)
+    if least <= PARTITIONS_MAX_PARTS < most:
+        least = most = admitted_count(args.kind, args.n, max_parts, parts=True)
+    if least > PARTITIONS_MAX_PARTS:
         raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n} with "
-                         f"{printed} parts in all, more than {PARTITIONS_MAX_PARTS}")
+                         f"{'' if least == most else 'at least '}{least} parts in all, "
+                         f"more than {PARTITIONS_MAX_PARTS}")
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
         0, lambda: parts, ("partition",),

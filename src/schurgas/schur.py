@@ -5,11 +5,12 @@ One engine sums s_lam over groups of shapes by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
 variable and one box at a time: a bottom-up sweep over levels that keeps
 only the previous level's values and the current level's table. It runs on
-ints alone; two thin fronts supply its step: `schur_int_sums` at an integer
-point (for `z_canonical`, `gpf_definition` and the `schur` command, at the
-D x of `clear_denominators`), and `schur_qpoly_sums` at x_i = q^(e_i), with each
-q-polynomial packed into one int at q = 2^W and unpacked at the end into
-the kernel's offset form (for thermo; `schur_qpoly` is its one-shape case).
+ints alone, one per variable, and each front picks the C operator that applies
+one: `schur_int_sums` multiplies at an integer point (for `z_canonical`,
+`gpf_definition` and the `schur` command, at the D x of `clear_denominators`),
+and `schur_qpoly_sums` shifts by W e_i for x_i = q^(e_i), each q-polynomial
+packed into one int at q = 2^W and unpacked at the end into the kernel's
+offset form (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
 `schur_tableau` sums semistandard Young tableaux on ints at D x, as the
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
+from operator import lshift, mul
 
 from .partitions import Partition, conjugate
 from .qpoly import OffsetPoly, qp_det
@@ -49,10 +51,11 @@ def check_distinct(xs: EvalPoint) -> None:
                                     + ",".join(f"{x.numerator}/{x.denominator}" for x in xs))
 
 
-def clear_denominators(xs: EvalPoint) -> tuple[int, list[int]]:
-    """D and the integers D x_i, with D the lcm of the denominators: a
-    function homogeneous of degree k has its value at xs equal to its value
-    at D xs over D^k, and at D xs it runs on ints."""
+def clear_denominators(point: Sequence[Rational | str]) -> tuple[int, list[int]]:
+    """D and the integers D x_i, with D the lcm of the denominators of the
+    point, coerced as by as_point: a function homogeneous of degree k has its
+    value at x equal to its value at D x over D^k, and at D x it runs on ints."""
+    xs = as_point(point)
     scale = lcm(*(x.denominator for x in xs))
     return scale, [x.numerator * (scale // x.denominator) for x in xs]
 
@@ -104,10 +107,9 @@ def schur_tableau(lam: Partition, point: Sequence[Rational]) -> Fraction:
     Returns 0 when lam has more parts than there are coordinates, and 1 for
     the empty partition.
     """
-    xs = as_point(point)
-    if len(lam) > len(xs):
+    scale, ys = clear_denominators(point)
+    if len(lam) > len(ys):
         return Fraction(0)
-    scale, ys = clear_denominators(xs)
     return Fraction(_tableau_sum(lam, ys, [sum(lam) if y else 0 for y in ys]), scale ** sum(lam))
 
 
@@ -153,11 +155,10 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     """Monomial symmetric function m_mu: the sum over all distinct
     rearrangements of the exponent vector mu (zero-padded to the point's
     length) of the corresponding monomial."""
-    xs = as_point(point)
-    m = len(xs)
+    scale, ys = clear_denominators(point)
+    m = len(ys)
     if len(mu) > m:
         return Fraction(0)
-    scale, ys = clear_denominators(xs)
     memo: dict[tuple[int, ...], int] = {}
 
     def rest(exps: tuple[int, ...]) -> int:
@@ -178,9 +179,10 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], step) -> list[list[int]]:
-    """Per group, the int values of its shapes with at most m parts, by the
-    branching rule taken one variable and one box at a time (the row
+def _branching_sums(coords: Sequence[int], groups: Iterable[Iterable[Partition]],
+                    times) -> list[int]:
+    """Per group, the int sum of its shapes with at most len(coords) parts, by
+    the branching rule taken one variable and one box at a time (the row
     recursion of Demmel and Koev, Math. Comp. 75 (2006)). G(lam, i) sums
     x_j^|lam/mu| s_mu(x_1..x_(j-1)) over the horizontal strips lam/mu that
     keep rows 0..i-1 whole, so G(lam, len(lam)) is level j - 1's value of
@@ -188,9 +190,9 @@ def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], step) -> list
     lam_(i+1) (G(lam, i + 1) otherwise), and s_lam(x_1..x_j) = G(lam, 0).
     Level j sweeps the downward closure of the groups' shapes, smallest
     first, holding only level j - 1's values and its own G table. s_() is 1,
-    a shape longer than its variables has s = 0, and the front's
-    step(j, base, sub) gives base + x_j sub."""
-    tops = [[tuple(lam) for lam in group if len(lam) <= m] for group in groups]
+    a shape longer than its variables has s = 0, and the C operator
+    times(sub, coords[j - 1]) gives x_j sub, so no Python call runs per entry."""
+    tops = [[tuple(lam) for lam in group if len(lam) <= len(coords)] for group in groups]
     subs: dict[Partition, list] = {}
     todo = [lam for group in tops for lam in group]
     while todo:
@@ -203,28 +205,24 @@ def _branching_sums(m: int, groups: Iterable[Iterable[Partition]], step) -> list
             todo += [sub for sub in subs[lam] if sub is not None]
     order = sorted(subs, key=sum)
     values = {(): 1}
-    for j in range(1, m + 1):
+    for j, x in enumerate(coords, 1):
         table: dict[Partition, list[int]] = {}
         for lam in order:
             if len(lam) <= j:
                 g = [values.get(lam, 0)] * (len(lam) + 1)
                 for i in range(len(lam) - 1, -1, -1):
                     sub = subs[lam][i]
-                    g[i] = g[i + 1] if sub is None else step(j, g[i + 1], table[sub][i])
+                    g[i] = g[i + 1] if sub is None else g[i + 1] + times(table[sub][i], x)
                 table[lam] = g
         values = {lam: g[0] for lam, g in table.items()}
-    return [[values[lam] for lam in group] for group in tops]
+    return [sum(values[lam] for lam in group) for group in tops]
 
 
 def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> list[int]:
     """For each group of shapes, the sum of s_lam at the integer point ys.
     A shape with more parts than there are coordinates contributes 0; an
     empty group sums to 0."""
-
-    def step(j, base, sub):
-        return base + ys[j - 1] * sub
-
-    return [sum(values) for values in _branching_sums(len(ys), groups, step)]
+    return _branching_sums(ys, groups, mul)
 
 
 def schur_qpoly_sums(
@@ -236,23 +234,18 @@ def schur_qpoly_sums(
     than there are exponents contributes zero.
 
     The engine runs on ints at q = 2^W (Kronecker substitution), where
-    x_j sub is a shift. Coefficients are nonnegative and a shape's sum to
-    at most M^|lam| (fillings of its cells from M entries), so W, the bit
-    length of the largest group sum of M^|lam| in whole bytes, holds each
-    coefficient of a group sum as one digit of its int."""
+    x_j sub is a left shift by W e_j. Coefficients are nonnegative and a
+    shape's sum to at most M^|lam| (fillings of its cells from M entries), so
+    W, the bit length of the largest group sum of M^|lam| in whole bytes,
+    holds each coefficient of a group sum as one digit of its int."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
     groups = [list(group) for group in groups]
     bound = max((sum(len(exponents) ** sum(lam) for lam in group) for group in groups), default=0)
     width = (bound.bit_length() + 7) // 8 or 1  # bytes per coefficient
-    shifts = [8 * width * e for e in exponents]
-
-    def step(j, base, sub):
-        return base + (sub << shifts[j - 1])
-
     sums = []
-    for values in _branching_sums(len(exponents), groups, step):
-        packed = sum(values) & ((1 << 8 * width * (emax + 1)) - 1)
+    for total in _branching_sums([8 * width * e for e in exponents], groups, lshift):
+        packed = total & ((1 << 8 * width * (emax + 1)) - 1)
         # sized by the value, so the top digit is nonzero; zero low bytes: zero digits
         raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
         low = (len(raw) - len(raw.lstrip(b"\0"))) // width

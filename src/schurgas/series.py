@@ -72,9 +72,8 @@ def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -
     shapes per N, so they share one branching-rule sweep."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    xs = as_point(point)
-    scale, ys = clear_denominators(xs)
-    groups = [admitted_partitions(kind, n, len(xs)) for n in range(nmax + 1)]
+    scale, ys = clear_denominators(point)
+    groups = [admitted_partitions(kind, n, len(ys)) for n in range(nmax + 1)]
     return FugacitySeries(scale, tuple(schur_int_sums(ys, groups)))
 
 
@@ -109,7 +108,7 @@ def product_factors(kind: StatisticsKind, monomials: Sequence[tuple[int, int]]) 
 def gpf_product(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """Closed product form of the grand series (see product_factors), on
     ints at y = D x (clear_denominators)."""
-    scale, ys = clear_denominators(as_point(point))
+    scale, ys = clear_denominators(point)
     rows = qp_power_sum_rows(product_factors(kind, [(y, 0) for y in ys]), nmax, 0)
     return FugacitySeries(scale, tuple(sum(row) for _, row in rows))
 

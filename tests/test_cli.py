@@ -41,9 +41,10 @@ def test_partitions_json(capsys):
     (["46", "--format", "csv"], "admits 105558 partitions of 46"),
     (["92", "--kind", "even-cols"], "even-cols admits 105558 partitions of 92"),
     (["4001", "--kind", "fermi"], "n = 4001 is more than 4000 boxes"),
-    # few shapes, but long ones: past the bound count x min(n, rows), the
-    # parts are counted exactly, and still without generating a shape
-    (["500", "--kind", "parafermi:3"], "admits 21084 partitions of 500 with 6449352 parts"),
+    # few shapes, but long ones: past count x ceil(n / cols), refused on that
+    # bound; between it and count x min(n, rows), the parts are counted
+    # exactly, and still without generating a shape
+    (["500", "--kind", "parafermi:3"], "admits 21084 partitions of 500 with at least 3521028"),
     (["3000", "--kind", "parafermi:2"], "admits 1501 partitions of 3000 with 3377250 parts"),
     (["1000", "--kind", "parafermi:3", "--max-parts", "600", "--format", "json"],
      "more than 3000000"),
@@ -58,7 +59,7 @@ def test_partitions_refuses_past_its_envelope(capsys, monkeypatch, argv, reason)
 def test_partitions_refusal_counts_parts_by_columns(capsys, monkeypatch):
     # parafermi:2 binds the columns (2) and not the rows (n): the exact total
     # comes from the column count, and no Gaussian-binomial pass runs on more
-    # than 2 rows, where the row pass would take 4,000
+    # than 2 rows, where the row pass would take 3,000
     rows = []
     box_counts = partitions._box_counts
 
@@ -68,11 +69,24 @@ def test_partitions_refusal_counts_parts_by_columns(capsys, monkeypatch):
 
     monkeypatch.setattr(partitions, "_box_counts", counted)
     monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
-    code, out, err = invoke(capsys, ["partitions", "4000", "--kind", "parafermi:2"])
+    code, out, err = invoke(capsys, ["partitions", "3000", "--kind", "parafermi:2"])
     assert (code, out) == (2, "")
-    assert err == ("error: parafermi:2 admits 2001 partitions of 4000 with 6003000 parts in all, "
+    assert err == ("error: parafermi:2 admits 1501 partitions of 3000 with 3377250 parts in all, "
                    "more than 3000000\n")
     assert rows and max(rows) <= 2
+
+
+def test_partitions_refuses_on_the_least_parts(capsys, monkeypatch):
+    # every shape has at least ceil(n / cols) = 2,000 parts, so the total is
+    # past the limit with no parts count; with 3,999 rows, the row pass of
+    # that count took 1 s to refuse it
+    monkeypatch.setattr(statistics, "count_parts", refuse_work)
+    monkeypatch.setattr(statistics, "iter_partitions", refuse_work)
+    argv = ["partitions", "4000", "--kind", "parafermi:2", "--max-parts", "3999"]
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: parafermi:2 admits 2000 partitions of 4000 with at least 4000000 "
+                   "parts in all, more than 3000000\n")
 
 
 def test_partitions_lists_inside_its_envelope(capsys):

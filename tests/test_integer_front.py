@@ -19,7 +19,7 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion
 
 from schurgas.canonical import z_canonical
 from schurgas.partitions import gen_partitions
-from schurgas.schur import clear_denominators, schur_int_sums, schur_tableau
+from schurgas.schur import as_point, clear_denominators, schur_int_sums, schur_tableau
 from schurgas.series import DivisionInconsistency, gpf_definition, gpf_parafermi_det, gpf_product
 from schurgas.statistics import (
     BOSE,
@@ -98,6 +98,10 @@ def test_z_canonical_divides_by_scale_to_the_n():
     point = (F(1, 2), F(1, 3))
     scale, ys = clear_denominators(point)
     assert (scale, ys) == (6, [3, 2])
+    # it coerces what as_point takes: ints, Fractions, "num/den" strings, mixed
+    for same in [["1/2", "1/3"], [F(1, 2), "2/6"], [1, "1/3", F(-2, 4), 0]]:
+        assert clear_denominators(same) == clear_denominators(as_point(same))
+    assert clear_denominators([1, "1/3", F(-2, 4), 0]) == (6, [6, 2, -3, 0])
     assert [z_canonical(BOSE, point, n) for n in range(4)] == [1, F(5, 6), F(19, 36), F(65, 216)]
     assert gpf_definition(BOSE, point, 3).coeffs == (1, F(5, 6), F(19, 36), F(65, 216))
 
