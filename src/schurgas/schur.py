@@ -4,12 +4,15 @@ functions.
 One engine sums s_lam over groups of shapes by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
 variable and one box at a time: a bottom-up sweep over levels that keeps
-only the previous level's values and the current level's table. It runs on
-ints alone, one per variable, and each front picks the C operator that applies
-one: `schur_int_sums` multiplies at an integer point (for `z_canonical`,
-`gpf_definition` and the `schur` command, at the D x of `clear_denominators`),
-and `schur_qpoly_sums` shifts by W e_i for x_i = q^(e_i), each q-polynomial
-packed into one int at q = 2^W and unpacked at the end into the kernel's
+only the previous level's values and the current level's table, with one
+table entry per corner row of a shape, each linked to the entry of its
+sub-shape that it adds. It runs on ints alone, one per variable, and each
+front picks the C operator that applies one: `schur_int_sums` multiplies at
+an integer point (for `z_canonical`, `gpf_definition` and the `schur`
+command, at the D x of `clear_denominators`), and `schur_qpoly_sums` shifts
+by W e_i for x_i = q^(e_i), each q-polynomial packed into one int at
+q = 2^W, W / 8 a power of two up to 8 bytes and a multiple of 8 above, and
+read at the end in one native-byte-order memoryview cast into the kernel's
 offset form (for thermo; `schur_qpoly` is its one-shape case).
 
 Two independent oracles evaluate one s_lam at a point of rationals:
@@ -22,6 +25,7 @@ Vandermonde product prod_(i<j) (x_i - x_j)."""
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm, prod
@@ -186,35 +190,39 @@ def _branching_sums(coords: Sequence[int], groups: Iterable[Iterable[Partition]]
     recursion of Demmel and Koev, Math. Comp. 75 (2006)). G(lam, i) sums
     x_j^|lam/mu| s_mu(x_1..x_(j-1)) over the horizontal strips lam/mu that
     keep rows 0..i-1 whole, so G(lam, len(lam)) is level j - 1's value of
-    lam, G(lam, i) = G(lam, i + 1) + x_j G(lam - e_i, i) when lam_i >
-    lam_(i+1) (G(lam, i + 1) otherwise), and s_lam(x_1..x_j) = G(lam, 0).
+    lam, G(lam, i) = G(lam, i + 1) + x_j G(lam - e_i, i) at a corner row i
+    (lam_i > lam_(i+1), with lam_(len(lam)) = 0), G(lam, i + 1) at any other,
+    and s_lam(x_1..x_j) = G(lam, 0). So a shape's G list holds the base and
+    one entry per corner, last corner first, and each corner links to
+    (lam - e_i, k): G(lam - e_i, i) is entry k of its sub-shape's list, k the
+    number of the sub-shape's corners at row i or below.
     Level j sweeps the downward closure of the groups' shapes, smallest
     first, holding only level j - 1's values and its own G table. s_() is 1,
     a shape longer than its variables has s = 0, and the C operator
     times(sub, coords[j - 1]) gives x_j sub, so no Python call runs per entry."""
     tops = [[tuple(lam) for lam in group if len(lam) <= len(coords)] for group in groups]
-    subs: dict[Partition, list] = {}
+    links: dict[Partition, list] = {}
     todo = [lam for group in tops for lam in group]
     while todo:
         lam = todo.pop()
-        if lam not in subs:
-            # per row i, lam - e_i, or None when row i has no removable box
-            subs[lam] = [None if i + 1 < len(lam) and lam[i + 1] == part
-                         else lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
-                         for i, part in enumerate(lam)]
-            todo += [sub for sub in subs[lam] if sub is not None]
-    order = sorted(subs, key=sum)
+        if lam not in links:
+            corners = links[lam] = []
+            for i in range(len(lam) - 1, -1, -1):
+                part, below = lam[i], lam[i + 1] if i + 1 < len(lam) else 0
+                if part > below:  # row i - 1 may become a corner, but it lies above
+                    sub = lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
+                    corners.append((sub, len(corners) + (part - 1 > below)))
+                    todo.append(sub)
+    plan = [(lam, len(lam), links[lam]) for lam in sorted(links, key=sum)]
     values = {(): 1}
     for j, x in enumerate(coords, 1):
         table: dict[Partition, list[int]] = {}
-        for lam in order:
-            if len(lam) <= j:
-                g = [values.get(lam, 0)] * (len(lam) + 1)
-                for i in range(len(lam) - 1, -1, -1):
-                    sub = subs[lam][i]
-                    g[i] = g[i + 1] if sub is None else g[i + 1] + times(table[sub][i], x)
-                table[lam] = g
-        values = {lam: g[0] for lam, g in table.items()}
+        for lam, rows, corners in plan:
+            if rows <= j:
+                g = table[lam] = [values.get(lam, 0)]
+                for sub, k in corners:
+                    g.append(g[-1] + times(table[sub][k], x))
+        values = {lam: g[-1] for lam, g in table.items()}
     return [sum(values[lam] for lam in group) for group in tops]
 
 
@@ -236,21 +244,36 @@ def schur_qpoly_sums(
     The engine runs on ints at q = 2^W (Kronecker substitution), where
     x_j sub is a left shift by W e_j. Coefficients are nonnegative and a
     shape's sum to at most M^|lam| (fillings of its cells from M entries), so
-    W, the bit length of the largest group sum of M^|lam| in whole bytes,
-    holds each coefficient of a group sum as one digit of its int."""
+    a digit of W bits holds each coefficient of a group sum, with W / 8 the
+    least number of bytes among 1, 2, 4, 8, 16, 24, ... (a power of two up to
+    8, a multiple of 8 above) that holds the largest group sum of M^|lam|.
+    A group sum's digits are read in one memoryview cast of its bytes in
+    native byte order, as words of at most 8 bytes; above 8 bytes each digit
+    is joined from W / 64 such limbs, least significant first. Above 8 bytes
+    a multiple of 8 pads a digit by at most 7 bytes, where a power of two
+    would pad it by up to its own size less one (17 bytes to 32), and the
+    sweep's cost grows with its ints' size."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
     groups = [list(group) for group in groups]
     bound = max((sum(len(exponents) ** sum(lam) for lam in group) for group in groups), default=0)
-    width = (bound.bit_length() + 7) // 8 or 1  # bytes per coefficient
+    width = 1  # bytes per coefficient
+    while bound >> 8 * width:
+        width += min(width, 8)
+    bits, limbs = 8 * width, max(width // 8, 1)
+    mask = (1 << bits * (emax + 1)) - 1
+    fmt, order = {1: "B", 2: "H", 4: "I"}.get(width, "Q"), 1 if sys.byteorder == "little" else -1
     sums = []
-    for total in _branching_sums([8 * width * e for e in exponents], groups, lshift):
-        packed = total & ((1 << 8 * width * (emax + 1)) - 1)
-        # sized by the value, so the top digit is nonzero; zero low bytes: zero digits
-        raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-        low = (len(raw) - len(raw.lstrip(b"\0"))) // width
-        sums.append((low, [int.from_bytes(raw[k : k + width], "little")
-                           for k in range(low * width, len(raw), width)]))
+    for total in _branching_sums([bits * e for e in exponents], groups, lshift):
+        packed = total & mask
+        low = ((packed & -packed).bit_length() - 1) // bits if packed else 0
+        packed >>= low * bits
+        raw = packed.to_bytes((packed.bit_length() + bits - 1) // bits * width, sys.byteorder)
+        words = memoryview(raw).cast(fmt).tolist()[::order]  # least significant first
+        digits = words[::limbs]
+        for k in range(1, limbs):
+            digits = [digit | limb << 64 * k for digit, limb in zip(digits, words[k::limbs])]
+        sums.append((low, digits))
     return sums
 
 

@@ -5,8 +5,11 @@ substitution qh = e^(-beta hw / 2) on the half-quantum grid. One beta pass
 gives every term that depends on beta alone, each sector's mean energy among
 them, so a request makes it once and each mu-solver step only the per-mu
 sums. bose, hst, even-rows and even-cols make it from a cached int plan of
-their product's power sums, in floats at qh; the other kinds by a Horner
-pass, `qp_eval_float`, over cached exact polynomials in qh.
+their product's power sums, in floats at qh, and so does parabose:p on at
+most p levels (M, counted with degeneracy), where it admits every shape
+that has a nonzero s_lam and so is hst; fermi, parafermi, pq and parabose
+on more than p levels by a Horner pass, `qp_eval_float`, over cached exact
+polynomials in qh from the branching-rule engine.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .equivalence import SpectrumSpec
 from .qpoly import qp_eval_float
 from .schur import schur_qpoly_sums
 from .series import product_factors
-from .statistics import StatisticsKind, admitted_partitions
+from .statistics import HST, StatisticsKind, admitted_partitions
 
 TAIL_BOUND = 1e-9
 MU_REL_TOL = 1e-8
@@ -123,10 +126,14 @@ def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: 
     log qh^(d_N) r_N(qh) = -a_N + b_N, a_N = d_N beta/2 and b_N = log r_N(qh),
     and of its mean energy in hw units, e_N = d_N/2 + qh r_N'(qh) / (2 r_N(qh))
     (the q^t coefficient carries energy t/2), from `_power_sum_pass` (d_N = N s)
-    or a Horner pass over `_weight_polys`. b_N is None for an N without
-    states; r_N(qh) >= 1 for every N with states."""
+    or a Horner pass over `_weight_polys`; parabose:p with p >= M takes
+    hst's pass. b_N is None for an N without states; r_N(qh) >= 1 for
+    every N with states."""
     qh = math.exp(-beta_hw / 2)
-    key = (kind, spec.qpoly_exponents(), nmax)
+    exponents = spec.qpoly_exponents()
+    if kind.family == "parabose" and kind.p >= len(exponents):
+        kind = HST  # a shape longer than the levels has s_lam = 0
+    key = (kind, exponents, nmax)
     terms = []
     try:
         sectors = (_power_sum_pass(_power_sum_plan(*key), qh) if kind.family in POSITIVE_FAMILIES

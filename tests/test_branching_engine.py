@@ -6,19 +6,22 @@ replaced.
 |lam/mu|, in a memo that keeps every level's entries until the call
 returns. The live engine removes one box per step and keeps two levels
 alive. On both fronts the two must agree exactly, and the live one must
-peak lower in memory.
+peak lower in memory. The live engine keeps one entry per corner row, so it
+also meets the tableau sum on shapes with repeated rows, and the q front's
+digit read, in every width class, meets the int front at q = 2.
 """
 
 import tracemalloc
 from functools import reduce
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schurgas.equivalence import build_spectrum
 from schurgas.partitions import gen_partitions
 from schurgas.qpoly import qp_add
-from schurgas.schur import schur_int_sums, schur_qpoly_sums
+from schurgas.schur import schur_int_sums, schur_qpoly_sums, schur_tableau
 from schurgas.statistics import EVEN_COLS, EVEN_ROWS, admitted_partitions, parafermi
 
 
@@ -117,6 +120,60 @@ def test_int_front_matches_the_product_engine(ys, groups):
 def test_qpoly_front_matches_the_product_engine(exps, emax, groups):
     sums = schur_qpoly_sums(exps, emax, groups)
     assert [[0] * low + coeffs for low, coeffs in sums] == product_qpoly_sums(exps, emax, groups)
+
+
+@st.composite
+def blocky_shape(draw):
+    """A shape of at most three distinct parts, each repeated up to four
+    times: only the last row of each block is a corner, and the columns run
+    longer than the point does."""
+    parts = draw(st.lists(st.integers(1, 3), max_size=3, unique=True))
+    return tuple(part for part in sorted(parts, reverse=True)
+                 for _ in range(draw(st.integers(1, 4))))
+
+
+@DERANDOMIZED
+@given(ys=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       shapes=st.lists(blocky_shape(), max_size=4))
+@example(ys=[2, 0, -1, 2], shapes=[(3, 3, 3, 1, 1), (2, 2, 2, 2), (1, 1, 1, 1, 1), (3, 3)])
+def test_corner_sweep_matches_the_tableau_sum(ys, shapes):
+    # rows equal to the one below are not corners and hold no G entry
+    assert schur_int_sums(ys, [[lam] for lam in shapes]) == [schur_tableau(lam, ys)
+                                                             for lam in shapes]
+
+
+def assert_full_degree_at_two_is_the_int_front(exps, groups):
+    # at full degree nothing is cut, so each q-polynomial read at q = 2,
+    # sum_t c_t 2^t, is the int front at x_i = 2^(e_i)
+    emax = max((sum(lam) for group in groups for lam in group), default=0) * max(exps)
+    at_two = [sum(c << t for t, c in enumerate(coeffs, low))
+              for low, coeffs in schur_qpoly_sums(exps, emax, groups)]
+    assert at_two == schur_int_sums([2 ** e for e in exps], groups)
+
+
+@DERANDOMIZED
+@given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+       groups=st.lists(st.lists(blocky_shape(), max_size=3), max_size=3))
+def test_qpoly_front_at_two_is_the_int_front(exps, groups):
+    assert_full_degree_at_two_is_the_int_front(exps, groups)
+
+
+@pytest.mark.parametrize("exps,groups,nbytes", [
+    ((1, 2), [[(4, 2)], [(3,), (2, 1)]], 1),
+    ((0, 0, 1), [[(5, 2)], [(4, 1), (3, 2)]], 2),
+    ((0, 0, 1, 2), [[(6, 3)], [(8,), (5, 2, 1)]], 3),  # read as 4
+    ((0, 0, 0, 1, 1, 2), [[(8, 4, 1)], [(5, 4, 3, 1), (6, 6, 1)]], 5),  # read as 8
+    ((0,) * 6 + (1,) * 6, [[(11, 8, 5, 3, 2, 1)], [(6, 5, 5, 4, 3, 3, 2, 1, 1)]], 14),  # 16
+    ((0,) * 24, [[(10, 10, 10)]], 18),  # 24: three limbs, a 69-bit coefficient
+    ((0,) * 40 + (1,) * 40, [[(20, 20)]], 32),  # four limbs, 130-bit coefficients
+])
+def test_qpoly_digits_in_every_width_class(exps, groups, nbytes):
+    # nbytes holds the largest group sum of M^|lam|; the digits are read in
+    # the next power of two up to 8 bytes, above 8 in the next multiple of 8
+    # from joined 8-byte limbs
+    bound = max(sum(len(exps) ** sum(lam) for lam in group) for group in groups)
+    assert (bound.bit_length() + 7) // 8 == nbytes
+    assert_full_degree_at_two_is_the_int_front(exps, groups)
 
 
 def traced_peak(build, *args):

@@ -352,6 +352,61 @@ def test_product_weights_match_the_engine(kind, family, qmax, nmax):
             assert slope == pytest.approx(want_slope, rel=1e-14, abs=1e-300)
 
 
+# parabose:p admits the shapes of at most p rows, and on M levels a longer
+# shape has s_lam = 0: for p >= M (levels counted with degeneracy) its
+# weights are hst's, so it takes hst's power-sum pass and builds no polynomial.
+PARABOSE_ROUTES = [
+    ("parabose:3", "eq2", 2, 12, True),  # M = 3
+    ("parabose:2", "eq1", 2, 10, True),  # M = 2
+    ("parabose:5", "eq1", 3, 9, True),  # M = 4 with a doubly degenerate level
+    ("parabose:3", "eq2", 3, 12, False),  # M = 4
+    ("parabose:3", "eq1", 3, 9, False),  # M = 4
+]
+
+
+@pytest.mark.parametrize("kind,family,qmax,nmax,power_sums", PARABOSE_ROUTES)
+def test_parabose_on_at_most_p_levels_takes_the_power_sum_pass(monkeypatch, kind, family,
+                                                               qmax, nmax, power_sums):
+    passes, builds = [], []
+    power_sum_pass, weight_polys = schurgas.thermo._power_sum_pass, schurgas.thermo._weight_polys
+
+    def counted_pass(plan, qh):
+        passes.append(plan)
+        return power_sum_pass(plan, qh)
+
+    def counted_build(*key):
+        builds.append(key)
+        return weight_polys(*key)
+
+    monkeypatch.setattr(schurgas.thermo, "_power_sum_pass", counted_pass)
+    monkeypatch.setattr(schurgas.thermo, "_weight_polys", counted_build)
+    schurgas.thermo._beta_terms(parse_kind(kind), build_spectrum(family, qmax), 1.25, nmax)
+    assert (len(passes), len(builds)) == ((1, 0) if power_sums else (0, 1))
+
+
+@pytest.mark.parametrize("kind,family,qmax,nmax",
+                         [key[:4] for key in PARABOSE_ROUTES if key[4]])
+def test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax):
+    # the pass against a Horner pass over the engine's own rows, which the
+    # test builds directly
+    kind, spec, beta = parse_kind(kind), build_spectrum(family, qmax), 1.25
+    engine = _weight_polys(kind, spec.qpoly_exponents(), nmax)
+    got = schurgas.thermo._beta_terms(kind, spec, beta, nmax)
+    for (a, b, e), (low, coeffs) in zip(got, engine, strict=True):
+        value, slope = qp_eval_float(coeffs, math.exp(-beta / 2))
+        assert a == pytest.approx(low * beta / 2, rel=1e-14)
+        assert b == pytest.approx(math.log(value), rel=1e-14, abs=1e-14)
+        assert e == pytest.approx(low / 2 + 0.5 * slope / value, rel=1e-14)
+
+
+def test_parabose_on_the_power_sum_pass_keeps_its_name():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["thermo", "--kind", "parabose:3", "--spectrum", "eq2", "--qmax", "2",
+                    "--beta", "1.0", "--target-n", "0.15", "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["kind"] == "parabose:3"
+
+
 def principal_schur(lam, m):
     """s_lam(q, q^3, ..., q^(2m-1)) = q^|lam| t^n(lam) prod_u (1 - t^(m + c(u)))
     / (1 - t^h(u)) with t = q^2 (Macdonald I.3 ex. 1), one shape at a time:
