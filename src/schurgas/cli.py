@@ -1,4 +1,4 @@
-"""Command-line front door.
+"""Command-line front door: it parses argv, dispatches and prints.
 
 Every computation and verification is a subcommand with machine-readable
 output. Exit codes: 0 success or verified, 1 a checked identity was
@@ -14,36 +14,20 @@ import argparse
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
 
 from .canonical import z_canonical
 from .equivalence import (build_spectrum, check_equivalence, gpf_bose_biseries,
                           gpf_evencols_biseries)
 from .partitions import check_partition
-from .schur import DistinctnessViolation, clear_denominators, schur_bialternant, schur_int_sums
+from .schur import (DistinctnessViolation, check_schur_envelope, clear_denominators,
+                    schur_bialternant, schur_int_sums)
 from .series import DivisionInconsistency, gpf_definition, verify_identity
-from .statistics import (UnsupportedKind, admitted_count, admitted_partitions, kind_name,
-                         parse_kind, shape_bounds)
+from .statistics import (UnsupportedKind, admitted_partitions, check_listing_envelope, kind_name,
+                         parse_kind)
 from .thermo import BracketFailure, ThermoParams, TruncationTail, evaluate, evaluate_at_target
 
 VERIFY_ALL_KINDS = ("bose", "fermi", "hst", "even-rows", "even-cols",
                     "parafermi:1", "parafermi:2", "parafermi:3")
-# The `schur` envelope, checked before any work. The engine's table is M
-# levels of the shapes inside lam, 3-12 us an entry. The bialternant makes M^3
-# Bareiss updates with quadratic division on up to M (lam_1 + M) b bits, b for
-# a coordinate: about 2e-14 s per unit of M^5 ((lam_1 + M) b)^2.
-SCHUR_MAX_BOXES = 500
-SCHUR_MAX_TABLE = 200_000
-SCHUR_MAX_COORDS = 32
-SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
-# The `partitions` envelope, checked before any shape is generated: the count
-# takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
-# up to 0.35 us a part (1 s at either). The parts lie between count x ceil(n /
-# cols) and count x min(n, rows), and only a limit between the two is checked
-# on the exact total: about n rows steps, or n cols steps where rows do not bind.
-PARTITIONS_MAX_BOXES = 4000
-PARTITIONS_MAX_SHAPES = 100_000
-PARTITIONS_MAX_PARTS = 3_000_000
 # The `equivalence` envelope, checked before any work: about 1 s of JSON, which
 # expands both (a, q) tables (qmax^3), or of text or CSV, which compare the
 # factor multisets and print the audit (about qmax^2 for either verdict).
@@ -56,12 +40,9 @@ def frac_str(x: Fraction) -> str:
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
     try:
-        coords = tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad point {text!r}: {exc}") from None
-    if not coords:
-        raise ValueError("point needs at least one coordinate")
-    return coords
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -129,20 +110,7 @@ def _emit(args: argparse.Namespace, out: Output) -> int:
 
 def _cmd_partitions(args: argparse.Namespace) -> Output:
     max_parts = args.max_parts if args.max_parts is not None else max(args.n, 1)
-    if args.n > PARTITIONS_MAX_BOXES:
-        raise ValueError(f"n = {args.n} is more than {PARTITIONS_MAX_BOXES} boxes")
-    count = admitted_count(args.kind, args.n, max_parts)
-    if count > PARTITIONS_MAX_SHAPES:
-        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n}, "
-                         f"more than {PARTITIONS_MAX_SHAPES}")
-    rows, cols = shape_bounds(args.kind, max_parts)
-    least, most = count * -(-args.n // (cols or args.n or 1)), count * min(args.n, rows)
-    if least <= PARTITIONS_MAX_PARTS < most:
-        least = most = admitted_count(args.kind, args.n, max_parts, parts=True)
-    if least > PARTITIONS_MAX_PARTS:
-        raise ValueError(f"{kind_name(args.kind)} admits {count} partitions of {args.n} with "
-                         f"{'' if least == most else 'at least '}{least} parts in all, "
-                         f"more than {PARTITIONS_MAX_PARTS}")
+    check_listing_envelope(args.kind, args.n, max_parts)
     parts = admitted_partitions(args.kind, args.n, max_parts)
     return Output(
         0, lambda: parts, ("partition",),
@@ -151,31 +119,9 @@ def _cmd_partitions(args: argparse.Namespace) -> Output:
     )
 
 
-def _subshape_count(lam: tuple[int, ...]) -> int:
-    """Number of partitions mu inside lam (mu_i <= lam_i), () included:
-    cum[v] counts the choices of the rows below whose top part is <= v."""
-    cum = [1]
-    for part in reversed(lam):
-        cum = list(accumulate(cum[min(v, len(cum) - 1)] for v in range(part + 1)))
-    return cum[-1]
-
-
 def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
-    m = len(args.point)
-    if sum(shape) > SCHUR_MAX_BOXES:
-        raise ValueError(f"shape {args.shape} has more than {SCHUR_MAX_BOXES} boxes")
-    if m > SCHUR_MAX_COORDS:
-        raise ValueError(f"point has {m} coordinates, more than {SCHUR_MAX_COORDS}")
-    table = m * _subshape_count(shape) if len(shape) <= m else 0
-    if table > SCHUR_MAX_TABLE:
-        raise ValueError(f"shape {args.shape} on {m} coordinates needs a table of {table} "
-                         f"entries, more than {SCHUR_MAX_TABLE}")
-    bits = max(abs(x.numerator).bit_length() + x.denominator.bit_length() for x in args.point)
-    work = m ** 5 * (max(shape, default=0) + m) ** 2 * bits ** 2
-    if work > SCHUR_MAX_BIALTERNANT:
-        raise ValueError(f"the bialternant of shape {args.shape} on this point needs {work} "
-                         f"units of work, more than {SCHUR_MAX_BIALTERNANT}")
+    check_schur_envelope(shape, args.point)
     scale, ys = clear_denominators(args.point)
     tab = Fraction(schur_int_sums(ys, [[shape]])[0], scale ** sum(shape))
     try:

@@ -21,13 +21,15 @@ engine's integer front does (total: repeated and zero coordinates are fine);
 `schur_bialternant` is det(x_i^(lam_j + M - j)) / det(x_i^(M - j)), which
 needs pairwise-distinct coordinates: the numerator by the kernel's one
 determinant (`qp_det` on int constants, cut at 0), the denominator as the
-Vandermonde product prod_(i<j) (x_i - x_j)."""
+Vandermonde product prod_(i<j) (x_i - x_j). `check_schur_envelope` bounds
+both backends' work on one shape and point before either runs."""
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 from operator import lshift, mul
 
@@ -36,6 +38,14 @@ from .qpoly import OffsetPoly, qp_det
 
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
+# The `schur` envelope, checked before any work. The engine's table is M
+# levels of the shapes inside lam, 3-12 us an entry. The bialternant makes M^3
+# Bareiss updates with quadratic division on up to M (lam_1 + M) b bits, b for
+# a coordinate: about 2e-14 s per unit of M^5 ((lam_1 + M) b)^2.
+SCHUR_MAX_BOXES = 500
+SCHUR_MAX_TABLE = 200_000
+SCHUR_MAX_COORDS = 32
+SCHUR_MAX_BIALTERNANT = 5 * 10 ** 13
 
 
 class DistinctnessViolation(ValueError):
@@ -144,6 +154,33 @@ def schur_bialternant(lam: Partition, point: Sequence[Rational]) -> Fraction:
                        for i, a in enumerate(xs) for b in xs[i + 1 :])
     scale = prod(x.denominator for x in xs)
     return Fraction(det[0] if det else 0, scale ** (top - m + 1) * vandermonde)
+
+
+def _subshape_count(lam: Partition) -> int:
+    """Number of partitions mu inside lam (mu_i <= lam_i), () included:
+    cum[v] counts the choices of the rows below whose top part is <= v."""
+    cum = [1]
+    for part in reversed(lam):
+        cum = list(accumulate(cum[min(v, len(cum) - 1)] for v in range(part + 1)))
+    return cum[-1]
+
+
+def check_schur_envelope(lam: Partition, point: EvalPoint) -> None:
+    """Raise ValueError before any work when s_lam at point is past the envelope."""
+    shape, m = ",".join(map(str, lam)) or "0", len(point)
+    if sum(lam) > SCHUR_MAX_BOXES:
+        raise ValueError(f"shape {shape} has more than {SCHUR_MAX_BOXES} boxes")
+    if m > SCHUR_MAX_COORDS:
+        raise ValueError(f"point has {m} coordinates, more than {SCHUR_MAX_COORDS}")
+    table = m * _subshape_count(lam) if len(lam) <= m else 0
+    if table > SCHUR_MAX_TABLE:
+        raise ValueError(f"shape {shape} on {m} coordinates needs a table of {table} "
+                         f"entries, more than {SCHUR_MAX_TABLE}")
+    bits = max(abs(x.numerator).bit_length() + x.denominator.bit_length() for x in point)
+    work = m ** 5 * (max(lam, default=0) + m) ** 2 * bits ** 2
+    if work > SCHUR_MAX_BIALTERNANT:
+        raise ValueError(f"the bialternant of shape {shape} on this point needs {work} "
+                         f"units of work, more than {SCHUR_MAX_BIALTERNANT}")
 
 
 def kostka(shape: Partition, content: Partition) -> int:

@@ -6,7 +6,8 @@ exposed as module constants (BOSE, FERMI, HST, EVEN_ROWS, EVEN_COLS); the
 parametrised ones through `parafermi(p)`, `parabose(p)` and `pq(p, q)`.
 String names follow the fixed grammar "bose", "fermi", "parafermi:p",
 "parabose:p", "pq:p:q", "hst", "even-rows", "even-cols" used by the CLI and
-JSON output.
+JSON output. `check_listing_envelope` bounds a listing of admitted shapes by
+their counts alone, before any shape is generated.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def admits(kind: StatisticsKind, lam: Partition) -> bool:
 
 
 _EVEN = ("even-rows", "even-cols")
+# The `partitions` envelope, checked before any shape is generated: the count
+# takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
+# up to 0.35 us a part (1 s at either). The parts lie between count x ceil(n /
+# cols) and count x min(n, rows), and only a limit between the two is checked
+# on the exact total: about n rows steps, or n cols steps where rows do not bind.
+PARTITIONS_MAX_BOXES = 4000
+PARTITIONS_MAX_SHAPES = 100_000
+PARTITIONS_MAX_PARTS = 3_000_000
 
 
 def _check_sizes(n: int, max_parts: int) -> None:
@@ -141,7 +150,7 @@ def _check_sizes(n: int, max_parts: int) -> None:
         raise ValueError("max_parts must be positive")
 
 
-def shape_bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
+def _shape_bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
     """A kind's row and column bounds; (max_parts, None) for the even kinds."""
     rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(kind.family, max_parts)
     return min(rows, max_parts), {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(kind.family)
@@ -159,7 +168,7 @@ def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Pa
     _check_sizes(n, max_parts)
     fam = kind.family
     if fam not in _EVEN:
-        return list(iter_partitions(n, *shape_bounds(kind, max_parts)))
+        return list(iter_partitions(n, *_shape_bounds(kind, max_parts)))
     if n % 2:
         return []
     if fam == "even-rows":
@@ -178,7 +187,25 @@ def admitted_count(kind: StatisticsKind, n: int, max_parts: int, parts: bool = F
     _check_sizes(n, max_parts)
     count = count_parts if parts else count_partitions
     if kind.family not in _EVEN:
-        return count(n, *shape_bounds(kind, max_parts))
+        return count(n, *_shape_bounds(kind, max_parts))
     if kind.family == "even-rows":
         return 0 if n % 2 else count(n // 2, max_parts)
     return 0 if n % 2 else (1 + parts) * count(n // 2, max_parts // 2)
+
+
+def check_listing_envelope(kind: StatisticsKind, n: int, max_parts: int) -> None:
+    """Raise ValueError when admitted_partitions(kind, n, max_parts) is past the envelope."""
+    if n > PARTITIONS_MAX_BOXES:
+        raise ValueError(f"n = {n} is more than {PARTITIONS_MAX_BOXES} boxes")
+    count = admitted_count(kind, n, max_parts)
+    if count > PARTITIONS_MAX_SHAPES:
+        raise ValueError(f"{kind_name(kind)} admits {count} partitions of {n}, "
+                         f"more than {PARTITIONS_MAX_SHAPES}")
+    rows, cols = _shape_bounds(kind, max_parts)
+    least, most = count * -(-n // (cols or n or 1)), count * min(n, rows)
+    if least <= PARTITIONS_MAX_PARTS < most:
+        least = most = admitted_count(kind, n, max_parts, parts=True)
+    if least > PARTITIONS_MAX_PARTS:
+        raise ValueError(f"{kind_name(kind)} admits {count} partitions of {n} with "
+                         f"{'' if least == most else 'at least '}{least} parts in all, "
+                         f"more than {PARTITIONS_MAX_PARTS}")

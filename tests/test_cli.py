@@ -333,6 +333,12 @@ def test_empty_kind_or_point_is_a_usage_error(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_bad_shape_is_a_usage_error(capsys):
+    code, out, err = invoke(capsys, ["schur", "--shape", "1,x", "--point", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad shape '1,x': ")
+
+
 @pytest.mark.parametrize("extra", [
     ["--beta", "inf", "--mu", "-1"],
     ["--beta", "1", "--mu", "nan"],

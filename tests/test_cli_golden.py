@@ -1,8 +1,9 @@
-"""Byte-exact CLI outputs: stdout and exit code of fixed argv lines in every
-output format, compared against `cli_golden.json`.
+"""Byte-exact CLI outputs: stdout, stderr and exit code of fixed argv lines in
+every output format, compared against `cli_golden.json`.
 
 The recorded outputs pin the exact layer end to end, so a refactor of the
-arithmetic underneath must leave every byte unchanged. Run as a script,
+arithmetic underneath must leave every byte unchanged; the envelope refusals
+pin their exit code and message the same way. Run as a script,
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -62,13 +63,30 @@ CASES = [argv + ["--format", fmt] for argv in ARGV for fmt in ("text", "json", "
 CASES += [["equivalence", "--qmax", "30", "--format", "text"],
           ["equivalence", "--qmax", "30", "--format", "csv"],
           ["equivalence", "--qmax", "20", "--format", "json"]]
+# every envelope refusal of tests/test_cli.py: exit 2 and its message, with
+# nothing on stdout
+CASES += [["partitions", "60"],
+          ["partitions", "46", "--format", "csv"],
+          ["partitions", "92", "--kind", "even-cols"],
+          ["partitions", "4001", "--kind", "fermi"],
+          ["partitions", "500", "--kind", "parafermi:3"],
+          ["partitions", "3000", "--kind", "parafermi:2"],
+          ["partitions", "1000", "--kind", "parafermi:3", "--max-parts", "600", "--format", "json"],
+          ["partitions", "4000", "--kind", "parafermi:2", "--max-parts", "3999"],
+          ["schur", "--shape", "501", "--point", "2"],
+          ["schur", "--shape", "1", "--point", ",".join(map(str, range(1, 101)))],
+          ["schur", "--shape", "40,30,20,10", "--point", "1,2,3,4,5,6"],
+          ["schur", "--shape", "500", "--point", ",".join(f"{97 - i}/{89 + i}" for i in range(32))],
+          ["equivalence", "--qmax", "1000000000"],
+          ["equivalence", "--qmax", "3001", "--format", "csv"],
+          ["equivalence", "--qmax", "161", "--format", "json"]]
 
 
 def record(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    return {"argv": argv, "code": code, "stdout": out.getvalue()}
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.fixture(scope="module")
