@@ -1,7 +1,7 @@
 """Canonical N-particle partition functions: restricted Schur sums over the
 admitted partitions, at a point of rationals (`z_canonical`) or on an integer
-energy grid (`z_canonical_qpoly`). The grand series in `series` sums every
-N at once at the same cleared point."""
+energy grid (`z_canonical_qpoly`), by one sweep over the kind's box. The
+grand series in `series` sums every N at once at the same cleared point."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .qpoly import OffsetPoly
 from .schur import Rational, clear_denominators, schur_int_sums, schur_qpoly_sums
-from .statistics import StatisticsKind, admitted_partitions
+from .statistics import StatisticsKind, shape_box
 
 
 def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Fraction:
@@ -19,8 +19,7 @@ def z_canonical(kind: StatisticsKind, point: Sequence[Rational], n: int) -> Frac
     The sum runs on ints at the point D x of clear_denominators, by one
     schur_int_sums call, and Z_n is it over D^n. Z_0 = 1 for every kind."""
     scale, ys = clear_denominators(point)
-    total = schur_int_sums(ys, [admitted_partitions(kind, n, len(ys))])[0]
-    return Fraction(total, scale ** n)
+    return Fraction(schur_int_sums(ys, *shape_box(kind, len(ys), n))[n], scale ** n)
 
 
 def z_canonical_qpoly(
@@ -32,4 +31,4 @@ def z_canonical_qpoly(
     Coefficients count the n-particle states of each total energy, so they
     are nonnegative.
     """
-    return schur_qpoly_sums(exponents, emax, [admitted_partitions(kind, n, len(exponents))])[0]
+    return schur_qpoly_sums(exponents, emax, *shape_box(kind, len(exponents), n))[n]

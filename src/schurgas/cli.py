@@ -19,8 +19,8 @@ from .canonical import z_canonical
 from .equivalence import (build_spectrum, check_equivalence, gpf_bose_biseries,
                           gpf_evencols_biseries)
 from .partitions import check_partition
-from .schur import (DistinctnessViolation, check_schur_envelope, clear_denominators,
-                    schur_bialternant, schur_int_sums)
+from .schur import (DistinctnessViolation, check_digits, check_schur_envelope,
+                    clear_denominators, schur_bialternant, schur_int_sums)
 from .series import DivisionInconsistency, gpf_definition, verify_identity
 from .statistics import (UnsupportedKind, admitted_partitions, check_listing_envelope, kind_name,
                          parse_kind)
@@ -123,7 +123,7 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
     check_schur_envelope(shape, args.point)
     scale, ys = clear_denominators(args.point)
-    tab = Fraction(schur_int_sums(ys, [[shape]])[0], scale ** sum(shape))
+    tab = Fraction(schur_int_sums(ys, shape, sum(shape))[-1], scale ** sum(shape))
     try:
         alt: Fraction | None = schur_bialternant(shape, args.point)
     except DistinctnessViolation:
@@ -140,6 +140,7 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
 
 
 def _cmd_zn(args: argparse.Namespace) -> Output:
+    check_digits(f"Z_{args.n}", args.point, args.n)
     value = z_canonical(args.kind, args.point, args.n)
     return Output(
         0,
@@ -149,6 +150,7 @@ def _cmd_zn(args: argparse.Namespace) -> Output:
 
 
 def _cmd_gpf(args: argparse.Namespace) -> Output:
+    check_digits(f"the z^{args.nmax} coefficient", args.point, args.nmax)
     coeffs = gpf_definition(args.kind, args.point, args.nmax).coeffs
     return Output(
         0,
@@ -167,6 +169,8 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
         import random  # only the drawn second point needs it
 
         points = [tuple(Fraction(p) for p in (2, 3, 5)), random_point(random.Random(args.seed), 3)]
+    for point in points if args.format == "json" else ():  # only JSON prints the series
+        check_digits(f"the z^{args.nmax} coefficient", point, args.nmax)
     reports = [verify_identity(kind, point, args.nmax) for kind in kinds for point in points]
     return Output(
         0 if all(r.equal for r in reports) else 1,

@@ -1,7 +1,7 @@
 """Exact Schur-function evaluation, Kostka numbers and monomial symmetric
 functions.
 
-One engine sums s_lam over groups of shapes by the branching rule
+One engine sums s_lam over the shapes in a box by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
 variable and one box at a time: a bottom-up sweep over levels that keeps
 only the previous level's values and the current level's table, with one
@@ -27,10 +27,10 @@ both backends' work on one shape and point before either runs."""
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import lcm, log10, prod
 from operator import lshift, mul
 
 from .partitions import Partition, conjugate
@@ -181,6 +181,20 @@ def check_schur_envelope(lam: Partition, point: EvalPoint) -> None:
     if work > SCHUR_MAX_BIALTERNANT:
         raise ValueError(f"the bialternant of shape {shape} on this point needs {work} "
                          f"units of work, more than {SCHUR_MAX_BIALTERNANT}")
+    check_digits(f"s_{shape}", point, sum(lam))
+
+
+def check_digits(value: str, point: Sequence[Rational], n: int) -> None:
+    """Raise ValueError before any work when a sum of distinct s_lam of n
+    boxes at point may have more digits than int to str converts (0: no
+    limit). At y = D x (clear_denominators) it is an int over D^n, of size at
+    most p_1(|y|)^n = sum_lam f^lam s_lam(|y|) (Macdonald I.7), f^lam >= 1."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    scale, ys = clear_denominators(point)
+    digits = int(n * log10(max(scale, sum(map(abs, ys))))) + 1
+    if limit and digits > limit:
+        raise ValueError(f"{value} at this point may have {digits} digits, more than the "
+                         f"{limit} that int to str converts")
 
 
 def kostka(shape: Partition, content: Partition) -> int:
@@ -220,71 +234,99 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _branching_sums(coords: Sequence[int], groups: Iterable[Iterable[Partition]],
-                    times) -> list[int]:
-    """Per group, the int sum of its shapes with at most len(coords) parts, by
-    the branching rule taken one variable and one box at a time (the row
+def _plan(outer: Partition, top: int, keep) -> tuple[list, list[list[int]]]:
+    """The engine's plan over the shapes inside outer of at most top boxes, in
+    size order: per shape, the place of its last entry in a level's table,
+    its rows and the places its corners link to (see _branching_sums); and
+    per size the indices of the shapes that keep accepts (None: all). A shape
+    grows from the one without a box of its last row, by lengthening that row
+    (t = 0) or by a new row (t = 1), so each grows once. Its last corner
+    links to that parent; any other corner i is one of the parent's, and
+    lam - e_i is the child of kind t of the parent's sub-shape there."""
+    # per shape: lam, its first entry, its corners as (row, sub-shape), its children by t
+    grown = [((), 0, [], [-1, -1])]
+    plan, level = [(0, 0, [])], [0]
+    kept = [[0] if keep is None or keep(()) else []]
+    for _ in range(top):
+        parents, level = level, []
+        kept.append([])
+        for parent in parents:
+            lam, first, corners, children = grown[parent]
+            r = len(lam)
+            steps = ([(0, lam[:-1] + (lam[-1] + 1,))]  # within outer and below row r - 2
+                     if r and lam[-1] < min((outer[r - 1], *lam[-2:-1])) else [])
+            if r < len(outer):
+                steps.append((1, lam + (1,)))
+            for t, mu in steps:
+                last = len(mu) - 1
+                own, links = [(last, parent)], [first + (mu[last] > 1)]
+                for i, sub in corners:
+                    if i < last and mu[i] > mu[i + 1]:  # still a corner
+                        sub = grown[sub][3][t]
+                        own.append((i, sub))
+                        links.append(grown[sub][1] + len(links) + (mu[i] - 1 > mu[i + 1]))
+                children[t] = index = len(grown)
+                grown.append((mu, plan[-1][0] + 1, own, [-1, -1]))
+                plan.append((plan[-1][0] + 1 + len(links), len(mu), links))
+                level.append(index)
+                if keep is None or keep(mu):
+                    kept[-1].append(index)
+    return plan, kept
+
+
+def _branching_sums(coords: Sequence[int], plan, times) -> list[int]:
+    """Per size of the plan (_plan), the int sum of its kept shapes, by the
+    branching rule taken one variable and one box at a time (the row
     recursion of Demmel and Koev, Math. Comp. 75 (2006)). G(lam, i) sums
     x_j^|lam/mu| s_mu(x_1..x_(j-1)) over the horizontal strips lam/mu that
     keep rows 0..i-1 whole, so G(lam, len(lam)) is level j - 1's value of
     lam, G(lam, i) = G(lam, i + 1) + x_j G(lam - e_i, i) at a corner row i
     (lam_i > lam_(i+1), with lam_(len(lam)) = 0), G(lam, i + 1) at any other,
-    and s_lam(x_1..x_j) = G(lam, 0). So a shape's G list holds the base and
-    one entry per corner, last corner first, and each corner links to
-    (lam - e_i, k): G(lam - e_i, i) is entry k of its sub-shape's list, k the
-    number of the sub-shape's corners at row i or below.
-    Level j sweeps the downward closure of the groups' shapes, smallest
-    first, holding only level j - 1's values and its own G table. s_() is 1,
-    a shape longer than its variables has s = 0, and the C operator
+    and s_lam(x_1..x_j) = G(lam, 0). So a shape's entries are the base and
+    one per corner, last corner first, and each corner links to an entry of
+    its sub-shape. Level j sweeps the plan, smallest first, holding only
+    level j - 1's table and its own; a shape longer than j has s = 0 there,
+    and zeros fill its entries. s_() is 1, and the C operator
     times(sub, coords[j - 1]) gives x_j sub, so no Python call runs per entry."""
-    tops = [[tuple(lam) for lam in group if len(lam) <= len(coords)] for group in groups]
-    links: dict[Partition, list] = {}
-    todo = [lam for group in tops for lam in group]
-    while todo:
-        lam = todo.pop()
-        if lam not in links:
-            corners = links[lam] = []
-            for i in range(len(lam) - 1, -1, -1):
-                part, below = lam[i], lam[i + 1] if i + 1 < len(lam) else 0
-                if part > below:  # row i - 1 may become a corner, but it lies above
-                    sub = lam[:i] + (part - 1,) * (part > 1) + lam[i + 1 :]
-                    corners.append((sub, len(corners) + (part - 1 > below)))
-                    todo.append(sub)
-    plan = [(lam, len(lam), links[lam]) for lam in sorted(links, key=sum)]
-    values = {(): 1}
+    shapes, kept = plan
+    prev = [1] + [0] * shapes[-1][0]
     for j, x in enumerate(coords, 1):
-        table: dict[Partition, list[int]] = {}
-        for lam, rows, corners in plan:
-            if rows <= j:
-                g = table[lam] = [values.get(lam, 0)]
-                for sub, k in corners:
-                    g.append(g[-1] + times(table[sub][k], x))
-        values = {lam: g[-1] for lam, g in table.items()}
-    return [sum(values[lam] for lam in group) for group in tops]
+        table: list[int] = []
+        for last, rows, links in shapes:
+            value = prev[last]
+            table.append(value)
+            if rows > j:
+                table += [0] * len(links)
+                continue
+            for link in links:
+                value += times(table[link], x)
+                table.append(value)
+        prev = table
+    return [sum(prev[shapes[i][0]] for i in group) for group in kept]
 
 
-def schur_int_sums(ys: Sequence[int], groups: Iterable[Iterable[Partition]]) -> list[int]:
-    """For each group of shapes, the sum of s_lam at the integer point ys.
-    A shape with more parts than there are coordinates contributes 0; an
-    empty group sums to 0."""
-    return _branching_sums(ys, groups, mul)
+def schur_int_sums(ys: Sequence[int], outer: Partition, top: int, keep=None) -> list[int]:
+    """For each size n = 0..top, the sum of s_lam at the integer point ys
+    over the shapes lam of n boxes inside outer that keep accepts (all when
+    keep is None). A shape with more parts than there are coordinates
+    contributes 0, so only the first len(ys) rows of outer are planned."""
+    return _branching_sums(ys, _plan(tuple(outer[: len(ys)]), top, keep), mul)
 
 
-def schur_qpoly_sums(
-    exponents: Sequence[int], emax: int, groups: Iterable[Iterable[Partition]]
-) -> list[OffsetPoly]:
-    """For each group of shapes, the sum of s_lam at x_i = q^(e_i) (the e_i
-    nonnegative integers) as an integer q-polynomial cut at degree emax >= 0,
-    in offset form (low, coeffs), so zero is (0, []). A shape with more parts
-    than there are exponents contributes zero.
+def schur_qpoly_sums(exponents: Sequence[int], emax: int, outer: Partition, top: int,
+                     keep=None) -> list[OffsetPoly]:
+    """For each size n = 0..top, the sum of s_lam at x_i = q^(e_i) (the e_i
+    nonnegative integers) over the shapes of schur_int_sums, as an integer
+    q-polynomial cut at degree emax >= 0, in offset form (low, coeffs), so
+    zero is (0, []).
 
     The engine runs on ints at q = 2^W (Kronecker substitution), where
     x_j sub is a left shift by W e_j. Coefficients are nonnegative and a
     shape's sum to at most M^|lam| (fillings of its cells from M entries), so
-    a digit of W bits holds each coefficient of a group sum, with W / 8 the
+    a digit of W bits holds each coefficient of a size's sum, with W / 8 the
     least number of bytes among 1, 2, 4, 8, 16, 24, ... (a power of two up to
-    8, a multiple of 8 above) that holds the largest group sum of M^|lam|.
-    A group sum's digits are read in one memoryview cast of its bytes in
+    8, a multiple of 8 above) that holds the largest kept count of a size n
+    times M^n. A sum's digits are read in one memoryview cast of its bytes in
     native byte order, as words of at most 8 bytes; above 8 bytes each digit
     is joined from W / 64 such limbs, least significant first. Above 8 bytes
     a multiple of 8 pads a digit by at most 7 bytes, where a power of two
@@ -292,8 +334,9 @@ def schur_qpoly_sums(
     sweep's cost grows with its ints' size."""
     if emax < 0:
         raise ValueError("emax must be nonnegative")
-    groups = [list(group) for group in groups]
-    bound = max((sum(len(exponents) ** sum(lam) for lam in group) for group in groups), default=0)
+    m = len(exponents)
+    plan = _plan(tuple(outer[:m]), top, keep)
+    bound = max(len(group) * m ** n for n, group in enumerate(plan[1]))
     width = 1  # bytes per coefficient
     while bound >> 8 * width:
         width += min(width, 8)
@@ -301,7 +344,7 @@ def schur_qpoly_sums(
     mask = (1 << bits * (emax + 1)) - 1
     fmt, order = {1: "B", 2: "H", 4: "I"}.get(width, "Q"), 1 if sys.byteorder == "little" else -1
     sums = []
-    for total in _branching_sums([bits * e for e in exponents], groups, lshift):
+    for total in _branching_sums([bits * e for e in exponents], plan, lshift):
         packed = total & mask
         low = ((packed & -packed).bit_length() - 1) // bits if packed else 0
         packed >>= low * bits
@@ -315,6 +358,6 @@ def schur_qpoly_sums(
 
 
 def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> OffsetPoly:
-    """s_lam at x_i = q^(e_i), cut at degree emax: schur_qpoly_sums with one
-    group holding one shape. Zero is (0, [])."""
-    return schur_qpoly_sums(exponents, emax, [[lam]])[0]
+    """s_lam at x_i = q^(e_i), cut at degree emax: the last size of
+    schur_qpoly_sums on the shapes inside lam. Zero is (0, [])."""
+    return schur_qpoly_sums(exponents, emax, lam, sum(lam))[-1]

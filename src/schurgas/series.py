@@ -27,7 +27,7 @@ from math import lcm, prod
 
 from .qpoly import Factor, QPoly, qp_det, qp_divseries, qp_mul, qp_power_sum_rows
 from .schur import Rational, as_point, check_distinct, clear_denominators, schur_int_sums
-from .statistics import StatisticsKind, UnsupportedKind, admitted_partitions, kind_name
+from .statistics import StatisticsKind, UnsupportedKind, kind_name, shape_box
 
 
 class TruncationMismatch(ValueError):
@@ -68,13 +68,12 @@ def series_mul(a: FugacitySeries, b: FugacitySeries) -> FugacitySeries:
 def gpf_definition(kind: StatisticsKind, point: Sequence[Rational], nmax: int) -> FugacitySeries:
     """The grand series straight from its definition: coefficient of z^N is
     the canonical Z_N. Available for every statistics. All N = 0..nmax come
-    from one schur_int_sums call at the cleared point, a group of admitted
-    shapes per N, so they share one branching-rule sweep."""
+    from one schur_int_sums call at the cleared point on the kind's box, so
+    they share one branching-rule sweep."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     scale, ys = clear_denominators(point)
-    groups = [admitted_partitions(kind, n, len(ys)) for n in range(nmax + 1)]
-    return FugacitySeries(scale, tuple(schur_int_sums(ys, groups)))
+    return FugacitySeries(scale, tuple(schur_int_sums(ys, *shape_box(kind, len(ys), nmax))))
 
 
 PRODUCT_FAMILIES = ("bose", "fermi", "hst", "even-rows", "even-cols")

@@ -1,31 +1,38 @@
 """The eight admissibility rules that turn a restricted partition sum into a
 quantum statistics.
 
-Each statistics is a predicate on partitions. The parameter-free families are
-exposed as module constants (BOSE, FERMI, HST, EVEN_ROWS, EVEN_COLS); the
-parametrised ones through `parafermi(p)`, `parabose(p)` and `pq(p, q)`.
-String names follow the fixed grammar "bose", "fermi", "parafermi:p",
-"parabose:p", "pq:p:q", "hst", "even-rows", "even-cols" used by the CLI and
-JSON output. `check_listing_envelope` bounds a listing of admitted shapes by
-their counts alone, before any shape is generated.
+Each statistics admits the shapes in a box, at most R rows of at most C
+columns, tiled by cells of a rows and b columns (`StatisticsKind.box`):
+`admits`, the listing, the counts and the Schur engine's box (`shape_box`)
+all read it. The parameter-free kinds are module constants (BOSE, FERMI, HST,
+EVEN_ROWS, EVEN_COLS); the others come from `parafermi(p)`, `parabose(p)`
+and `pq(p, q)`. String names follow the fixed grammar "bose", "fermi",
+"parafermi:p", "parabose:p", "pq:p:q", "hst", "even-rows", "even-cols" used
+by the CLI and JSON output. `check_listing_envelope` bounds a listing of
+admitted shapes by their counts alone, before any shape is generated.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
+from functools import partial
 
 from .partitions import Partition, count_partitions, count_parts, iter_partitions
 
-_FAMILIES = (
-    "bose",
-    "fermi",
-    "parafermi",
-    "parabose",
-    "pq",
-    "hst",
-    "even-rows",
-    "even-cols",
-)
+# family -> (R, C, cell), None for no bound and "p" or "q" for the kind's
+# parameter: even-rows and even-cols are hst in cells of 1 x 2 and 2 x 1
+_BOXES = {
+    "bose": (1, None, (1, 1)),
+    "fermi": (None, 1, (1, 1)),
+    "parafermi": (None, "p", (1, 1)),
+    "parabose": ("p", None, (1, 1)),
+    "pq": ("p", "q", (1, 1)),
+    "hst": (None, None, (1, 1)),
+    "even-rows": (None, None, (1, 2)),
+    "even-cols": (None, None, (2, 1)),
+}
+_PARAMETERS = ("{} takes no parameters", "{} needs a single positive order",
+               "{} needs two positive bounds")
 
 
 class UnsupportedKind(ValueError):
@@ -43,16 +50,12 @@ class StatisticsKind(namedtuple("StatisticsKind", "family p q")):
     __slots__ = ()
 
     def __new__(cls, family: str, p: int | None = None, q: int | None = None):
-        if family not in _FAMILIES:
+        if family not in _BOXES:
             raise ValueError(f"unknown statistics family: {family!r}")
-        if family in ("parafermi", "parabose"):
-            if p is None or p < 1 or q is not None:
-                raise ValueError(f"{family} needs a single positive order")
-        elif family == "pq":
-            if p is None or q is None or p < 1 or q < 1:
-                raise ValueError("pq needs two positive bounds")
-        elif p is not None or q is not None:
-            raise ValueError(f"{family} takes no parameters")
+        need = sum(bound in ("p", "q") for bound in _BOXES[family][:2])
+        if any(v is None or v < 1 for v in (p, q)[:need]) or any(v is not None
+                                                                 for v in (p, q)[need:]):
+            raise ValueError(_PARAMETERS[need].format(family))
         return super().__new__(cls, family, p, q)
 
     # copy and pickle call __new__; _replace calls _make, which would skip it
@@ -60,6 +63,14 @@ class StatisticsKind(namedtuple("StatisticsKind", "family p q")):
 
     def __str__(self) -> str:
         return kind_name(self)
+
+    @property
+    def box(self) -> tuple[int | None, int | None, tuple[int, int]]:
+        """(R, C, cell): the row and column bounds, None when unbounded, and
+        the (rows, columns) of the cells that tile an admitted shape."""
+        rows, cols, cell = _BOXES[self.family]
+        params = {"p": self.p, "q": self.q}
+        return params.get(rows, rows), params.get(cols, cols), cell
 
 
 BOSE = StatisticsKind("bose")
@@ -85,11 +96,7 @@ def pq(p: int, q: int) -> StatisticsKind:
 
 
 def kind_name(kind: StatisticsKind) -> str:
-    if kind.family in ("parafermi", "parabose"):
-        return f"{kind.family}:{kind.p}"
-    if kind.family == "pq":
-        return f"pq:{kind.p}:{kind.q}"
-    return kind.family
+    return ":".join([kind.family, *(str(v) for v in (kind.p, kind.q) if v is not None)])
 
 
 def parse_kind(text: str) -> StatisticsKind:
@@ -105,34 +112,38 @@ def parse_kind(text: str) -> StatisticsKind:
         raise UnsupportedKind(str(exc)) from None
 
 
+def _tiled(cell: tuple[int, int], lam: Partition) -> bool:
+    """Is lam tiled by cells of a rows and b columns: its rows come in runs
+    of a equal ones, each a multiple of b long?"""
+    a, b = cell
+    return tuple(b * (part // b) for part in lam[::a] for _ in range(a)) == lam
+
+
 def admits(kind: StatisticsKind, lam: Partition) -> bool:
-    """Does this statistics admit the partition?
+    """Does this statistics admit the partition: is it inside the kind's
+    box and tiled by its cells?
 
     The empty partition is admitted by every kind, so every canonical
     partition function has Z_0 = 1.
     """
-    fam = kind.family
-    if fam == "hst":
-        return True
-    if fam == "bose":
-        return len(lam) <= 1
-    if fam == "fermi":
-        return not lam or lam[0] <= 1
-    if fam == "parafermi":
-        return not lam or lam[0] <= kind.p
-    if fam == "parabose":
-        return len(lam) <= kind.p
-    if fam == "pq":
-        return len(lam) <= kind.p and (not lam or lam[0] <= kind.q)
-    if fam == "even-rows":
-        return all(part % 2 == 0 for part in lam)
-    if fam == "even-cols":
-        # all part multiplicities even <=> conjugate(lam) has all parts even
-        return all(mult % 2 == 0 for mult in Counter(lam).values())
-    raise UnsupportedKind(kind_name(kind))
+    rows, cols, cell = kind.box
+    return (len(lam) <= (rows or len(lam)) and (not lam or lam[0] <= (cols or lam[0]))
+            and _tiled(cell, lam))
 
 
-_EVEN = ("even-rows", "even-cols")
+def shape_box(kind: StatisticsKind, levels: int, top: int):
+    """The kind's shapes on `levels` levels with at most `top` boxes, as the
+    Schur engine's (outer, top, keep): R rows (at most levels, as a longer
+    shape has s_lam = 0) of C columns (at most top), top, and the cell test
+    of the tiled kinds, None for the others. Two kinds with the same box
+    sum the same shapes there."""
+    if top < 0:
+        raise ValueError("n must be nonnegative")
+    rows, cols, cell = kind.box
+    rows, cols = min(rows or levels, levels), min(cols or top, top)
+    return (cols,) * rows if cols else (), top, None if cell == (1, 1) else partial(_tiled, cell)
+
+
 # The `partitions` envelope, checked before any shape is generated: the count
 # takes about n^2 steps (1 s at 4,000 boxes), a listing about 8 us a shape and
 # up to 0.35 us a part (1 s at either). The parts lie between count x ceil(n /
@@ -143,54 +154,46 @@ PARTITIONS_MAX_SHAPES = 100_000
 PARTITIONS_MAX_PARTS = 3_000_000
 
 
-def _check_sizes(n: int, max_parts: int) -> None:
+def _cells(kind: StatisticsKind, n: int, max_parts: int):
+    """The kind's cell (a, b), and the shapes it admits of n boxes in at most
+    max_parts rows as iter_partitions' arguments in cells: n / ab cells in
+    at most min(R, max_parts) / a rows of at most C / b; None when n is no
+    whole number of cells."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if max_parts < 1:
         raise ValueError("max_parts must be positive")
-
-
-def _shape_bounds(kind: StatisticsKind, max_parts: int) -> tuple[int, int | None]:
-    """A kind's row and column bounds; (max_parts, None) for the even kinds."""
-    rows = {"bose": 1, "parabose": kind.p, "pq": kind.p}.get(kind.family, max_parts)
-    return min(rows, max_parts), {"fermi": 1, "parafermi": kind.p, "pq": kind.q}.get(kind.family)
+    rows, cols, (a, b) = kind.box
+    rows = min(rows or max_parts, max_parts) // a
+    return (a, b), None if n % (a * b) else (n // (a * b), rows, cols and cols // b)
 
 
 def admitted_partitions(kind: StatisticsKind, n: int, max_parts: int) -> list[Partition]:
     """gen_partitions(n, max_parts) filtered by admits, order preserved.
 
-    The admitted shapes are generated directly rather than filtered: the
-    row and column bounds go to iter_partitions, an even-rows shape is a
-    partition of n/2 with every part doubled, and an even-cols shape one of
-    n/2 (at most max_parts // 2 parts) with every part repeated twice. Both
-    maps keep reverse-lexicographic order.
+    The admitted shapes are generated directly rather than filtered: a shape
+    of a by b cells is a partition of n / ab in at most max_parts / a rows of
+    at most C / b with every part times b, repeated a times, which keeps
+    reverse-lexicographic order.
     """
-    _check_sizes(n, max_parts)
-    fam = kind.family
-    if fam not in _EVEN:
-        return list(iter_partitions(n, *_shape_bounds(kind, max_parts)))
-    if n % 2:
-        return []
-    if fam == "even-rows":
-        return [tuple(2 * p for p in mu) for mu in iter_partitions(n // 2, max_parts)]
-    if max_parts < 2:  # even-cols
+    (a, b), half = _cells(kind, n, max_parts)
+    if half is None or not half[1]:  # no whole cells, or no whole row of them
         return [()] if n == 0 else []
-    halves = iter_partitions(n // 2, max_parts // 2)
-    return [tuple(p for p in mu for _ in (0, 1)) for mu in halves]
+    if (a, b) == (1, 1):
+        return list(iter_partitions(*half))
+    rows = range(a)
+    return [tuple([b * part for part in mu for _ in rows]) for mu in iter_partitions(*half)]
 
 
 def admitted_count(kind: StatisticsKind, n: int, max_parts: int, parts: bool = False) -> int:
     """len(admitted_partitions(kind, n, max_parts)), or with parts the total
-    number of parts over them, counted without generating a shape; the even
-    kinds count the partitions of n/2 that they map from, and an even-cols
-    shape has twice the parts of its half."""
-    _check_sizes(n, max_parts)
-    count = count_parts if parts else count_partitions
-    if kind.family not in _EVEN:
-        return count(n, *_shape_bounds(kind, max_parts))
-    if kind.family == "even-rows":
-        return 0 if n % 2 else count(n // 2, max_parts)
-    return 0 if n % 2 else (1 + parts) * count(n // 2, max_parts // 2)
+    number of parts over them, counted without generating a shape: the
+    partitions in cells that they map from, a shape having a times the parts
+    of its partition in cells."""
+    (a, _), half = _cells(kind, n, max_parts)
+    if half is None:
+        return 0
+    return a * count_parts(*half) if parts else count_partitions(*half)
 
 
 def check_listing_envelope(kind: StatisticsKind, n: int, max_parts: int) -> None:
@@ -201,8 +204,8 @@ def check_listing_envelope(kind: StatisticsKind, n: int, max_parts: int) -> None
     if count > PARTITIONS_MAX_SHAPES:
         raise ValueError(f"{kind_name(kind)} admits {count} partitions of {n}, "
                          f"more than {PARTITIONS_MAX_SHAPES}")
-    rows, cols = _shape_bounds(kind, max_parts)
-    least, most = count * -(-n // (cols or n or 1)), count * min(n, rows)
+    rows, cols, _ = kind.box
+    least, most = count * -(-n // (cols or n or 1)), count * min(n, rows or n, max_parts)
     if least <= PARTITIONS_MAX_PARTS < most:
         least = most = admitted_count(kind, n, max_parts, parts=True)
     if least > PARTITIONS_MAX_PARTS:

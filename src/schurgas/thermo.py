@@ -5,11 +5,10 @@ substitution qh = e^(-beta hw / 2) on the half-quantum grid. One beta pass
 gives every term that depends on beta alone, each sector's mean energy among
 them, so a request makes it once and each mu-solver step only the per-mu
 sums. bose, hst, even-rows and even-cols make it from a cached int plan of
-their product's power sums, in floats at qh, and so does parabose:p on at
-most p levels (M, counted with degeneracy), where it admits every shape
-that has a nonzero s_lam and so is hst; fermi, parafermi, pq and parabose
-on more than p levels by a Horner pass, `qp_eval_float`, over cached exact
-polynomials in qh from the branching-rule engine.
+their product's power sums, in floats at qh, and so does a kind whose box,
+clamped to M levels (counted with degeneracy) and nmax columns, is hst's;
+the rest by a Horner pass, `qp_eval_float`, over cached exact polynomials in
+qh from the branching-rule engine.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .equivalence import SpectrumSpec
 from .qpoly import qp_eval_float
 from .schur import schur_qpoly_sums
 from .series import product_factors
-from .statistics import HST, StatisticsKind, admitted_partitions
+from .statistics import HST, StatisticsKind, shape_box
 
 TAIL_BOUND = 1e-9
 MU_REL_TOL = 1e-8
@@ -77,10 +76,10 @@ def _weight_polys(kind: StatisticsKind, exponents: tuple[int, ...], nmax: int):
     Each is stored in the producers' offset form as (d_N, (c_d, c_(d+1), ...)),
     so Z_N = qh^(d_N) r_N(qh) with r_N(0) >= 1. The zero polynomial is (0, ()).
     """
-    # Every N shares one branching-rule sweep. No shape of weight n has degree
-    # above n * max(exponents), so one cap at nmax keeps every N whole.
-    groups = [admitted_partitions(kind, n, len(exponents)) for n in range(nmax + 1)]
-    polys = schur_qpoly_sums(exponents, nmax * max(exponents), groups)
+    # Every N shares one sweep over the kind's box. No shape of weight n has
+    # degree above n * max(exponents), so one cap at nmax keeps every N whole.
+    polys = schur_qpoly_sums(exponents, nmax * max(exponents),
+                             *shape_box(kind, len(exponents), nmax))
     return tuple((low, tuple(coeffs)) for low, coeffs in polys)
 
 
@@ -126,13 +125,13 @@ def _beta_terms(kind: StatisticsKind, spec: SpectrumSpec, beta_hw: float, nmax: 
     log qh^(d_N) r_N(qh) = -a_N + b_N, a_N = d_N beta/2 and b_N = log r_N(qh),
     and of its mean energy in hw units, e_N = d_N/2 + qh r_N'(qh) / (2 r_N(qh))
     (the q^t coefficient carries energy t/2), from `_power_sum_pass` (d_N = N s)
-    or a Horner pass over `_weight_polys`; parabose:p with p >= M takes
-    hst's pass. b_N is None for an N without states; r_N(qh) >= 1 for
+    or a Horner pass over `_weight_polys`; a kind whose box is hst's here
+    takes hst's pass. b_N is None for an N without states; r_N(qh) >= 1 for
     every N with states."""
     qh = math.exp(-beta_hw / 2)
     exponents = spec.qpoly_exponents()
-    if kind.family == "parabose" and kind.p >= len(exponents):
-        kind = HST  # a shape longer than the levels has s_lam = 0
+    if shape_box(kind, len(exponents), nmax) == shape_box(HST, len(exponents), nmax):
+        kind = HST  # its box on these levels and sizes is hst's
     key = (kind, exponents, nmax)
     terms = []
     try:

@@ -1,5 +1,5 @@
 """The branching-rule engine against the interlacing-product engine it
-replaced.
+replaced, and its plan against the closure walk it replaced.
 
 `product_branching_sums` below is that engine, kept as the oracle: for each
 (level, shape) it sums x_j^k s_mu over every mu interlacing lam, k being
@@ -9,6 +9,12 @@ alive. On both fronts the two must agree exactly, and the live one must
 peak lower in memory. The live engine keeps one entry per corner row, so it
 also meets the tableau sum on shapes with repeated rows, and the q front's
 digit read, in every width class, meets the int front at q = 2.
+
+The live engine plans the shapes inside an outer shape up to a size, which
+for a statistics is its box (`statistics.shape_box`). `closure_walk` below is
+the plan it replaced, the downward closure of the admitted shapes, kept as
+the oracle of the box kinds' plans; the tiled kinds plan the whole hst box,
+a superset of theirs.
 """
 
 import tracemalloc
@@ -19,10 +25,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schurgas.equivalence import build_spectrum
-from schurgas.partitions import gen_partitions
+from schurgas.partitions import count_partitions, gen_partitions
 from schurgas.qpoly import qp_add
-from schurgas.schur import schur_int_sums, schur_qpoly_sums, schur_tableau
-from schurgas.statistics import EVEN_COLS, EVEN_ROWS, admitted_partitions, parafermi
+from schurgas.schur import _plan, _subshape_count, schur_int_sums, schur_qpoly_sums, schur_tableau
+from schurgas.statistics import (BOSE, EVEN_COLS, EVEN_ROWS, FERMI, HST, admitted_partitions,
+                                 parabose, parafermi, pq, shape_box)
 
 
 def product_branching_sums(m, groups, one, start, add):
@@ -89,37 +96,71 @@ def product_qpoly_sums(exps, emax, groups):
     return [reduce(qp_add, polys, []) for polys in values]
 
 
+def closure_walk(groups, m):
+    """The shapes the engine planned before it read a box: the downward
+    closure of the groups' shapes with at most m parts, walked on a stack."""
+    closure = set()
+    todo = [tuple(lam) for group in groups for lam in group if len(lam) <= m]
+    while todo:
+        lam = todo.pop()
+        if lam not in closure:
+            closure.add(lam)
+            todo += [lam[:i] + (lam[i] - 1,) * (lam[i] > 1) + lam[i + 1 :]
+                     for i in range(len(lam)) if i + 1 == len(lam) or lam[i] > lam[i + 1]]
+    return closure
+
+
+def shapes_inside(outer, top, keep=None):
+    """Per size n = 0..top, the shapes of n boxes inside outer that keep
+    accepts, by filtering every partition of n."""
+    return [[lam for lam in gen_partitions(n, max(n, 1)) if len(lam) <= len(outer)
+             and all(map(int.__le__, lam, outer)) and (keep is None or keep(lam))]
+            for n in range(top + 1)]
+
+
+def planned(outer, top):
+    """The shapes of _plan(outer, top), in plan order: its keep sees each once."""
+    seen = []
+    _plan(outer, top, lambda lam: seen.append(lam) is None)
+    return seen
+
+
 # every shape of weight at most 6, so some are longer than the point
 SHAPES = [lam for n in range(7) for lam in gen_partitions(n, max(n, 1))]
-# empty groups, repeated shapes, and groups not closed under removing boxes
-group_lists = st.lists(st.lists(st.sampled_from(SHAPES), max_size=5), max_size=4)
-# groups a kind admits whose shapes lose their kind when a box goes
-SPARSE = [admitted_partitions(kind, n, 4) for kind in (EVEN_ROWS, EVEN_COLS) for n in range(9)]
+# outer shapes, boxes among them, with the sizes to plan to and the shapes to keep
+OUTERS = SHAPES + [(3,) * 3, (2,) * 5, (6,), (1,) * 6]
+boxes = st.tuples(st.sampled_from(OUTERS), st.integers(0, 7),
+                  st.none() | st.frozensets(st.sampled_from(SHAPES)).map(lambda s: s.__contains__))
+# kinds a box does not close: their shapes lose their kind when a box goes
+SPARSE = [shape_box(kind, 4, 8) for kind in (EVEN_ROWS, EVEN_COLS)]
 
 DERANDOMIZED = settings(derandomize=True, max_examples=80, deadline=None)
 
 
 @DERANDOMIZED
-@given(ys=st.lists(st.integers(-3, 3), max_size=5), groups=group_lists)
-@example(ys=[2, -1, 0, 2], groups=SPARSE)  # zero, negative and repeated coordinates
-@example(ys=[], groups=[[()], [(1,)], []])
-@example(ys=[0, 0, 0], groups=[[(1, 1, 1), (2,)], [()], [(3, 1, 1, 1)]])
-def test_int_front_matches_the_product_engine(ys, groups):
-    assert schur_int_sums(ys, groups) == product_int_sums(ys, groups)
+@given(ys=st.lists(st.integers(-3, 3), max_size=5), box=boxes)
+@example(ys=[2, -1, 0, 2], box=SPARSE[0])  # zero, negative and repeated coordinates
+@example(ys=[2, -1, 0, 2], box=SPARSE[1])
+@example(ys=[], box=((1,), 1, None))
+@example(ys=[0, 0, 0], box=((3, 1, 1, 1), 6, {(1, 1, 1), (2,), (), (3, 1, 1, 1)}.__contains__))
+def test_int_front_matches_the_product_engine(ys, box):
+    assert schur_int_sums(ys, *box) == product_int_sums(ys, shapes_inside(*box))
 
 
 @DERANDOMIZED
-@given(exps=st.lists(st.integers(0, 4), max_size=5), emax=st.integers(0, 12), groups=group_lists)
-@example(exps=[1, 0, 3, 1], emax=12, groups=SPARSE)  # zero and repeated exponents
-@example(exps=[2, 2, 5], emax=0, groups=[[(1,)], [()], [(2, 1), (1, 1, 1)]])
-@example(exps=[3, 1], emax=3, groups=[[(2,), (1, 1)], [(2, 1)], [(1, 1, 1)]])
-@example(exps=[], emax=4, groups=[[()], [(1,)], []])
-# packing: 600 needs more than the 8 bits M^|lam| = 2 alone would give
-@example(exps=(0, 0), emax=0, groups=[[(1,)] * 300])
-@example(exps=(0,) * 24, emax=0, groups=[[(10, 10, 10)] * 3])  # a 70-bit coefficient
-def test_qpoly_front_matches_the_product_engine(exps, emax, groups):
-    sums = schur_qpoly_sums(exps, emax, groups)
-    assert [[0] * low + coeffs for low, coeffs in sums] == product_qpoly_sums(exps, emax, groups)
+@given(exps=st.lists(st.integers(0, 4), max_size=5), emax=st.integers(0, 12), box=boxes)
+@example(exps=[1, 0, 3, 1], emax=12, box=SPARSE[0])  # zero and repeated exponents
+@example(exps=[1, 0, 3, 1], emax=12, box=SPARSE[1])
+@example(exps=[2, 2, 5], emax=0, box=((2, 1, 1), 4, None))
+@example(exps=[3, 1], emax=3, box=((2, 1), 3, {(2,), (1, 1), (2, 1)}.__contains__))
+@example(exps=[], emax=4, box=((1,), 1, None))
+# packing: a shape of 11 boxes on 2 levels bounds its digits by 2^11, two bytes
+@example(exps=(0, 0), emax=0, box=((11,), 11, None))
+@example(exps=(0,) * 24, emax=0, box=((10, 10, 10), 30, None))  # a 70-bit coefficient
+def test_qpoly_front_matches_the_product_engine(exps, emax, box):
+    sums = schur_qpoly_sums(exps, emax, *box)
+    assert [[0] * low + coeffs for low, coeffs in sums] == product_qpoly_sums(
+        exps, emax, shapes_inside(*box))
 
 
 @st.composite
@@ -137,43 +178,106 @@ def blocky_shape(draw):
        shapes=st.lists(blocky_shape(), max_size=4))
 @example(ys=[2, 0, -1, 2], shapes=[(3, 3, 3, 1, 1), (2, 2, 2, 2), (1, 1, 1, 1, 1), (3, 3)])
 def test_corner_sweep_matches_the_tableau_sum(ys, shapes):
-    # rows equal to the one below are not corners and hold no G entry
-    assert schur_int_sums(ys, [[lam] for lam in shapes]) == [schur_tableau(lam, ys)
-                                                             for lam in shapes]
+    # rows equal to the one below are not corners and hold no G entry; the
+    # shapes inside lam hold one shape of |lam| boxes, lam itself
+    assert [schur_int_sums(ys, lam, sum(lam))[-1] for lam in shapes] == [
+        schur_tableau(lam, ys) for lam in shapes]
 
 
-def assert_full_degree_at_two_is_the_int_front(exps, groups):
+def assert_full_degree_at_two_is_the_int_front(exps, box):
     # at full degree nothing is cut, so each q-polynomial read at q = 2,
     # sum_t c_t 2^t, is the int front at x_i = 2^(e_i)
-    emax = max((sum(lam) for group in groups for lam in group), default=0) * max(exps)
+    emax = box[1] * max(exps)
     at_two = [sum(c << t for t, c in enumerate(coeffs, low))
-              for low, coeffs in schur_qpoly_sums(exps, emax, groups)]
-    assert at_two == schur_int_sums([2 ** e for e in exps], groups)
+              for low, coeffs in schur_qpoly_sums(exps, emax, *box)]
+    assert at_two == schur_int_sums([2 ** e for e in exps], *box)
 
 
 @DERANDOMIZED
-@given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=5),
-       groups=st.lists(st.lists(blocky_shape(), max_size=3), max_size=3))
-def test_qpoly_front_at_two_is_the_int_front(exps, groups):
-    assert_full_degree_at_two_is_the_int_front(exps, groups)
+@given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=5), outer=blocky_shape(),
+       keep=st.none() | st.frozensets(blocky_shape()).map(lambda s: s.__contains__))
+def test_qpoly_front_at_two_is_the_int_front(exps, outer, keep):
+    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), keep))
 
 
-@pytest.mark.parametrize("exps,groups,nbytes", [
-    ((1, 2), [[(4, 2)], [(3,), (2, 1)]], 1),
-    ((0, 0, 1), [[(5, 2)], [(4, 1), (3, 2)]], 2),
-    ((0, 0, 1, 2), [[(6, 3)], [(8,), (5, 2, 1)]], 3),  # read as 4
-    ((0, 0, 0, 1, 1, 2), [[(8, 4, 1)], [(5, 4, 3, 1), (6, 6, 1)]], 5),  # read as 8
-    ((0,) * 6 + (1,) * 6, [[(11, 8, 5, 3, 2, 1)], [(6, 5, 5, 4, 3, 3, 2, 1, 1)]], 14),  # 16
-    ((0,) * 24, [[(10, 10, 10)]], 18),  # 24: three limbs, a 69-bit coefficient
-    ((0,) * 40 + (1,) * 40, [[(20, 20)]], 32),  # four limbs, 130-bit coefficients
+@pytest.mark.parametrize("exps,outer,nbytes", [
+    ((1, 2), (4, 2), 1),
+    ((0, 0, 1), (5, 2), 2),
+    ((0, 0, 1, 2), (6, 3), 3),  # read as 4
+    ((0, 0, 0, 1, 1, 2), (8, 4, 1), 5),  # read as 8
+    ((0,) * 6 + (1,) * 6, (11, 8, 5, 3, 2, 1), 14),  # 16
+    ((0,) * 24, (10, 10, 10), 18),  # 24: three limbs, a 69-bit coefficient
+    ((0,) * 40 + (1,) * 40, (20, 20), 32),  # four limbs, 130-bit coefficients
 ])
-def test_qpoly_digits_in_every_width_class(exps, groups, nbytes):
-    # nbytes holds the largest group sum of M^|lam|; the digits are read in
-    # the next power of two up to 8 bytes, above 8 in the next multiple of 8
-    # from joined 8-byte limbs
-    bound = max(sum(len(exps) ** sum(lam) for lam in group) for group in groups)
+def test_qpoly_digits_in_every_width_class(exps, outer, nbytes):
+    # nbytes holds the largest kept count of a size n times M^n; the digits
+    # are read in the next power of two up to 8 bytes, above 8 in the next
+    # multiple of 8 from joined 8-byte limbs
+    bound = max(len(group) * len(exps) ** n for n, group in enumerate(shapes_inside(outer, sum(outer))))
     assert (bound.bit_length() + 7) // 8 == nbytes
-    assert_full_degree_at_two_is_the_int_front(exps, groups)
+    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), None))
+
+
+BOX_KINDS = [BOSE, FERMI, HST, parafermi(2), parafermi(3), parabose(2), parabose(3), pq(2, 3),
+             pq(3, 2)]
+
+
+@DERANDOMIZED
+@given(kind=st.sampled_from(BOX_KINDS), m=st.integers(1, 9), nmax=st.integers(0, 12))
+@example(kind=HST, m=9, nmax=12)
+def test_box_plan_is_the_closure_of_the_admitted_shapes(kind, m, nmax):
+    # a box is closed under removing boxes, so the closure walk finds no
+    # shape outside it; per size the plan holds the box's partition count
+    outer, top, keep = shape_box(kind, m, nmax)
+    assert keep is None
+    shapes = planned(outer, top)
+    assert len(shapes) == len(set(shapes))
+    assert [sum(lam) for lam in shapes] == sorted(sum(lam) for lam in shapes)
+    assert set(shapes) == closure_walk([admitted_partitions(kind, n, m) for n in range(nmax + 1)], m)
+    rows, cols, _ = kind.box
+    kept = _plan(outer, top, None)[1]
+    assert [len(group) for group in kept] == [count_partitions(n, min(rows or m, m), cols)
+                                             for n in range(nmax + 1)]
+
+
+@pytest.mark.parametrize("kind", [EVEN_ROWS, EVEN_COLS])
+@pytest.mark.parametrize("m,nmax", [(1, 6), (3, 8), (4, 7), (5, 8)])
+def test_tiled_plan_is_the_hst_box(kind, m, nmax):
+    # the tiled kinds plan hst's box and keep their own shapes, a superset
+    # of the closure the walk found for them
+    outer, top, keep = shape_box(kind, m, nmax)
+    assert (outer, top) == shape_box(HST, m, nmax)[:2]
+    admitted = [admitted_partitions(kind, n, m) for n in range(nmax + 1)]
+    shapes = planned(outer, top)
+    assert set(shapes) >= closure_walk(admitted, m)
+    assert [sorted(shapes[i] for i in group) for group in _plan(outer, top, keep)[1]] == [
+        sorted(group) for group in admitted]
+
+
+@pytest.mark.parametrize("lam", [(), (1,), (3, 1), (2, 2, 2), (4, 2, 2, 1), (1,) * 5,
+                                 (5, 5, 3, 1, 1, 1)])
+def test_single_shape_plan_is_the_shapes_inside_it(lam):
+    # the `schur` command plans lam to its size: the shapes inside lam, as
+    # many as its envelope counts, also where lam is longer than a point
+    shapes = planned(lam, sum(lam))
+    assert len(shapes) == _subshape_count(lam)
+    assert [sum(mu) for mu in shapes] == sorted(sum(mu) for mu in shapes)
+    assert sorted(shapes) == sorted(mu for group in shapes_inside(lam, sum(lam)) for mu in group)
+    for m in range(1, len(lam)):
+        assert schur_int_sums(list(range(1, m + 1)), lam, sum(lam))[-1] == 0
+
+
+ALL_KINDS = BOX_KINDS + [EVEN_ROWS, EVEN_COLS]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+@pytest.mark.parametrize("ys", [[0, 0, 0], [-2, 3, -1], [2, 2, -2, 2], [0, -1, 1, 0, 3]])
+def test_box_sums_match_the_tableau_sums(kind, ys):
+    # zero, negative and repeated coordinates, on every kind's box
+    nmax = 6
+    sums = schur_int_sums(ys, *shape_box(kind, len(ys), nmax))
+    assert sums == [sum(schur_tableau(lam, ys) for lam in admitted_partitions(kind, n, len(ys)))
+                    for n in range(nmax + 1)]
 
 
 def traced_peak(build, *args):
@@ -191,6 +295,8 @@ def test_engine_holds_two_levels():
     # here peaks at well under three quarters of the oracle's peak
     exps = build_spectrum("eq1", 7).qpoly_exponents()
     nmax = 12
+    box = shape_box(parafermi(3), len(exps), nmax)
     groups = [admitted_partitions(parafermi(3), n, len(exps)) for n in range(nmax + 1)]
-    args = (exps, nmax * max(exps), groups)
-    assert traced_peak(schur_qpoly_sums, *args) < 0.75 * traced_peak(product_qpoly_sums, *args)
+    emax = nmax * max(exps)
+    assert traced_peak(schur_qpoly_sums, exps, emax, *box) < 0.75 * traced_peak(
+        product_qpoly_sums, exps, emax, groups)

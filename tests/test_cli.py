@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,54 @@ def test_schur_runs_inside_its_envelope(capsys):
     # repeated zero coordinates: no bialternant, and the tableau sum skips them
     code, out, _ = invoke(capsys, ["schur", "--shape", "12,8,4", "--point", "0,1,0,2,0,3"])
     assert code == 0 and out.startswith("tableau = 1025733456/1\n")
+
+
+@pytest.fixture
+def int_str_limit():
+    """Set int to str's digit limit for one test, and put it back after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+BIG = "12345678901/3"  # D = 3 and y = 12345678901: 500 boxes make 5,046 digits
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["schur", "--shape", "500", "--point", BIG], "s_500"),
+    (["gpf", "--kind", "bose", "--point", BIG, "--nmax", "500"], "the z^500 coefficient"),
+    (["zn", "--kind", "hst", "--point", BIG, "--n", "500"], "Z_500"),
+    # verify computed both series for about 3 s before its JSON failed
+    (["verify", "--kind", "bose", "--point", BIG + ",2", "--nmax", "500", "--format", "json"],
+     "the z^500 coefficient"),
+])
+def test_overlong_exact_output_is_refused_before_any_work(capsys, monkeypatch, int_str_limit,
+                                                          argv, value):
+    int_str_limit(4300)
+    for name in ("schur_int_sums", "schur_bialternant", "z_canonical", "gpf_definition",
+                 "verify_identity"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    # verify's y = (12345678901, 6) sums to as many digits
+    assert err == (f"error: {value} at this point may have 5046 digits, more than the 4300 "
+                   "that int to str converts\n")
+
+
+def test_exact_output_just_inside_the_digit_limit_prints(capsys, int_str_limit):
+    # the bound is exact for bose at one coordinate: x^n over 3^n
+    int_str_limit(4300)
+    code, out, _ = invoke(capsys, ["zn", "--kind", "bose", "--point", BIG, "--n", "426"])
+    num, den = out.strip().split("/")
+    assert code == 0 and (len(num), den) == (4299, str(3 ** 426))
+    # verify prints no series but in JSON, so text and CSV are never refused
+    int_str_limit(640)
+    argv = ["verify", "--kind", "bose", "--point", BIG + ",2", "--nmax", "64"]
+    assert invoke(capsys, argv)[:2] == (0, "bose @ (12345678901/3, 2/1) nmax=64: OK\n")
+    assert invoke(capsys, argv + ["--format", "json"])[0] == 2
+    # the limit off (0) refuses nothing
+    int_str_limit(0)
+    assert invoke(capsys, ["zn", "--kind", "bose", "--point", BIG, "--n", "500"])[0] == 0
 
 
 def test_zn_value(capsys):

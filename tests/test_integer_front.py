@@ -75,22 +75,28 @@ def test_gpf_definition_coefficients_are_z_canonical(kind, point, nmax):
 
 @DERANDOMIZED
 @given(ys=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
-def test_int_sums_per_group(ys):
-    # groups of mixed weights share one sweep; shapes longer than the point
-    # contribute 0 and the empty group sums to 0
-    groups = [gen_partitions(n, max(n, 1)) for n in range(6)] + [[(2, 1), (1, 1, 1, 1, 1)], []]
-    sums = schur_int_sums(ys, groups)
-    assert len(sums) == len(groups)
-    for group, got in zip(groups, sums):
-        assert isinstance(got, int)
-        assert got == sum((schur_tableau(lam, ys) for lam in group), F(0))
+def test_int_sums_per_size(ys):
+    # every size shares one sweep; shapes longer than the point contribute
+    # 0, and a size with no kept shape sums to 0
+    for outer, keep in (((5,) * 5, None), ((3, 1, 1, 1, 1), {(2, 1), (1, 1, 1, 1, 1)}.__contains__)):
+        groups = [[lam for lam in gen_partitions(n, max(n, 1)) if len(lam) <= len(outer)
+                   and all(map(int.__le__, lam, outer)) and (keep is None or keep(lam))]
+                  for n in range(6)]
+        sums = schur_int_sums(ys, outer, 5, keep)
+        assert len(sums) == len(groups)
+        for group, got in zip(groups, sums):
+            assert isinstance(got, int)
+            assert got == sum((schur_tableau(lam, ys) for lam in group), F(0))
 
 
 def test_int_sums_edge_cases():
-    assert schur_int_sums([2, 3], [(), [(1, 1, 1)], [(3, 1, 1), (4, 2, 1)]]) == [0, 0, 0]
-    assert schur_int_sums([2, 3], [[()], [(1,)], [(2, 1)], [(1, 1), (1, 1, 1)]]) == [1, 5, 30, 6]
-    assert schur_int_sums([0, 5], [[(2,)], [(1, 1)]]) == [25, 0]
-    assert schur_int_sums([], [[()], [(1,)]]) == [1, 0]
+    assert schur_int_sums([2, 3], (4, 2, 1), 7, {(1, 1, 1), (3, 1, 1), (4, 2, 1)}.__contains__
+                          ) == [0] * 8
+    assert schur_int_sums([2, 3], (2, 1, 1), 3, {(), (1,), (2, 1), (1, 1), (1, 1, 1)}.__contains__
+                          ) == [1, 5, 6, 30]
+    assert schur_int_sums([0, 5], (2,), 2) == [1, 5, 25]
+    assert schur_int_sums([0, 5], (1, 1), 2) == [1, 5, 0]
+    assert schur_int_sums([], (1,), 1) == [1, 0]
 
 
 def test_z_canonical_divides_by_scale_to_the_n():

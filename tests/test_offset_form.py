@@ -7,7 +7,7 @@ test-side oracles: the kernel's `sweep_rows` and the engine's
 """
 
 from hypothesis import example, given, settings, strategies as st
-from test_branching_engine import SHAPES, product_qpoly_sums
+from test_branching_engine import boxes, product_qpoly_sums, shapes_inside
 from test_qpoly import sweep_rows
 
 from schurgas.canonical import z_canonical_qpoly
@@ -48,18 +48,20 @@ def test_kernel_rows_are_offset(factors, nmax, emax):
 
 
 KINDS = (BOSE, FERMI, EVEN_COLS, parabose(2), parafermi(2))
-groups = st.lists(st.lists(st.sampled_from(SHAPES), max_size=4), max_size=4)
 
 
 @DERANDOMIZED
-@given(exps=st.lists(st.integers(0, 4), max_size=5), emax=st.integers(0, 12), groups=groups,
+@given(exps=st.lists(st.integers(0, 4), max_size=5), emax=st.integers(0, 12), box=boxes,
        kind=st.sampled_from(KINDS), n=st.integers(0, 5))
-@example(exps=[0, 2, 0], emax=0, groups=[[(1,)], [], [(2, 1, 1, 1)]], kind=BOSE, n=2)
-@example(exps=[], emax=3, groups=[[()], [(1,)], []], kind=FERMI, n=0)  # empty point
-@example(exps=[1, 3], emax=5, groups=[[(3, 1, 1)], [(2,), (1, 1)]], kind=EVEN_COLS, n=4)
-def test_engine_rows_are_offset(exps, emax, groups, kind, n):
-    # the shapes of weight up to 6 include many longer than the point
-    sums = schur_qpoly_sums(exps, emax, groups)
+@example(exps=[0, 2, 0], emax=0, box=((2, 1, 1, 1), 5, {(1,), (2, 1, 1, 1)}.__contains__),
+         kind=BOSE, n=2)
+@example(exps=[], emax=3, box=((1,), 2, None), kind=FERMI, n=0)  # empty point
+@example(exps=[1, 3], emax=5, box=((3, 1, 1), 5, None), kind=EVEN_COLS, n=4)
+def test_engine_rows_are_offset(exps, emax, box, kind, n):
+    # the shapes inside an outer shape of weight up to 9 include many longer
+    # than the point
+    groups = shapes_inside(*box)
+    sums = schur_qpoly_sums(exps, emax, *box)
     assert len(sums) == len(groups)
     assert padded(sums, emax) == product_qpoly_sums(exps, emax, groups)
     shapes = [lam for group in groups for lam in group]

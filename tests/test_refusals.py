@@ -99,7 +99,7 @@ def test_subshape_count_counts_the_partitions_inside(lam):
 
 
 @pytest.mark.parametrize("call,args,message", [
-    (schur_qpoly_sums, ([1], -1, [[()]]), "emax must be nonnegative"),
+    (schur_qpoly_sums, ([1], -1, (), 0), "emax must be nonnegative"),
     (gpf_parafermi_det, (0, [1, 2], 3), "order p must be positive"),
     (gpf_parafermi_det, (2, [1, 2], -1), "nmax must be nonnegative"),
     (eq1_degeneracy, (-1,), "level index must be nonnegative"),

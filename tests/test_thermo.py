@@ -25,7 +25,7 @@ from schurgas.partitions import conjugate
 from schurgas.qpoly import qp_eval_float, qp_power_sum_rows, qp_weighted_eval_float
 from schurgas.schur import schur_qpoly_sums
 from schurgas.series import product_factors
-from schurgas.statistics import BOSE, FERMI, admitted_partitions, parse_kind
+from schurgas.statistics import BOSE, FERMI, admitted_partitions, parse_kind, shape_box
 from schurgas.thermo import (
     MU_REL_TOL,
     POSITIVE_FAMILIES,
@@ -155,6 +155,26 @@ def test_fermi_saturation_is_a_bracket_failure():
     spec = build_spectrum("eq2", 7)
     with pytest.raises(BracketFailure):
         solve_mu(FERMI, spec, 1.0, 9.0, 32)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # at beta 1e20, 50 / beta is less than half an ulp of the lowest energy, so
+    # the dilute start sits on the bose ground level, where every N weighs 1
+    (["bose", "eq2", "1e20", "1", "4", "8"],
+     "truncation fails even in the dilute limit; increase nmax"),
+    # N steps from 2 to 3 within 1 / beta of mu = 2.5, finer than mu's floats
+    (["fermi", "eq2", "1e15", "2.5", "4", "8"],
+     "bisection stalled between 2.499999999999999 and 2.5000000000000004"),
+    # the log weights n beta mu - a_N, near 1e15 here, round by more than
+    # the step between two mu, so the float mean is not monotone in mu
+    (["fermi", "eq2", "3e14", "5.9", "12", "16"],
+     "mean number fell from 5.880797077977882 to 5.5 while raising mu"),
+])
+def test_solver_failures_at_extreme_beta(capsys, argv, message):
+    kind, spectrum, beta, target, qmax, nmax = argv
+    assert run(["thermo", "--kind", kind, "--spectrum", spectrum, "--beta", beta,
+                "--target-n", target, "--qmax", qmax, "--nmax", nmax]) == 3
+    assert capsys.readouterr() == ("", f"numeric failure: {message}\n")
 
 
 def test_unreachable_bose_target_is_a_truncation_failure():
@@ -333,8 +353,7 @@ def test_product_weights_match_the_engine(kind, family, qmax, nmax):
     # power sums in floats at qh, which agree with a Horner pass over the rows.
     exps = build_spectrum(family, qmax).qpoly_exponents()
     emax = nmax * max(exps)
-    groups = [admitted_partitions(parse_kind(kind), n, len(exps)) for n in range(nmax + 1)]
-    engine = schur_qpoly_sums(exps, emax, groups)
+    engine = schur_qpoly_sums(exps, emax, *shape_box(parse_kind(kind), len(exps), nmax))
     product = product_factors(parse_kind(kind), [(1, e) for e in exps])
     assert qp_power_sum_rows(product, nmax, emax) == engine
     if kind == "fermi":
@@ -397,6 +416,33 @@ def test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax):
         assert a == pytest.approx(low * beta / 2, rel=1e-14)
         assert b == pytest.approx(math.log(value), rel=1e-14, abs=1e-14)
         assert e == pytest.approx(low / 2 + 0.5 * slope / value, rel=1e-14)
+
+
+# Any kind whose box, its rows clamped to M levels and its columns to nmax
+# particles, is hst's takes hst's pass too; the others build on the engine.
+CLAMPED_ROUTES = [
+    ("parafermi:12", "eq2", 3, 12, True),  # p = nmax
+    ("parafermi:5", "eq1", 3, 4, True),  # p > nmax
+    ("pq:4:9", "eq1", 3, 9, True),  # M = 4 rows, nmax = 9 columns
+    ("pq:6:20", "eq2", 4, 10, True),
+    ("fermi", "eq2", 4, 1, True),  # one particle fills one column
+    ("parafermi:3", "eq2", 3, 4, False),
+    ("pq:3:9", "eq1", 3, 9, False),  # 3 rows of 4 levels
+    ("pq:4:8", "eq1", 3, 9, False),
+]
+
+
+@pytest.mark.parametrize("kind,family,qmax,nmax,power_sums", CLAMPED_ROUTES)
+def test_a_kind_whose_clamped_box_is_hst_takes_the_power_sum_pass(monkeypatch, kind, family,
+                                                                  qmax, nmax, power_sums):
+    test_parabose_on_at_most_p_levels_takes_the_power_sum_pass(monkeypatch, kind, family,
+                                                               qmax, nmax, power_sums)
+
+
+@pytest.mark.parametrize("kind,family,qmax,nmax",
+                         [key[:4] for key in CLAMPED_ROUTES if key[4]])
+def test_clamped_hst_power_sums_match_the_engine(kind, family, qmax, nmax):
+    test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax)
 
 
 def test_parabose_on_the_power_sum_pass_keeps_its_name():
