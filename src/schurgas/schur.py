@@ -236,41 +236,48 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
 
 def _plan(outer: Partition, top: int, keep) -> tuple[list, list[list[int]]]:
     """The engine's plan over the shapes inside outer of at most top boxes, in
-    size order: per shape, the place of its last entry in a level's table,
-    its rows and the places its corners link to (see _branching_sums); and
+    size order: per shape, the place of its last entry in a level's table
+    and the places its corners link to (see _branching_sums); and
     per size the indices of the shapes that keep accepts (None: all). A shape
     grows from the one without a box of its last row, by lengthening that row
     (t = 0) or by a new row (t = 1), so each grows once. Its last corner
     links to that parent; any other corner i is one of the parent's, and
     lam - e_i is the child of kind t of the parent's sub-shape there."""
-    # per shape: lam, its first entry, its corners as (row, sub-shape), its children by t
-    grown = [((), 0, [], [-1, -1])]
-    plan, level = [(0, 0, [])], [0]
+    # per shape: lam, its first entry, its corners as row, sub-shape pairs in
+    # one list, and at 2 index + t its children
+    shapes, firsts, corners, children = [()], [0], [[]], [-1, -1]
+    plan, level = [(0, [])], [0]
     kept = [[0] if keep is None or keep(()) else []]
+
+    def grow(parent: int, t: int, mu: Partition) -> None:
+        last = len(mu) - 1
+        own, links = [last, parent], [firsts[parent] + (mu[last] > 1)]
+        pairs = iter(corners[parent])
+        for i, sub in zip(pairs, pairs):
+            if i < last and mu[i] > mu[i + 1]:  # still a corner
+                sub = children[2 * sub + t]
+                own += i, sub
+                links.append(firsts[sub] + len(links) + (mu[i] - 1 > mu[i + 1]))
+        children[2 * parent + t] = index = len(shapes)
+        children.extend((-1, -1))
+        shapes.append(mu)
+        firsts.append(plan[-1][0] + 1)
+        corners.append(own)
+        plan.append((plan[-1][0] + 1 + len(links), links))
+        level.append(index)
+        if keep is None or keep(mu):
+            kept[-1].append(index)
+
     for _ in range(top):
         parents, level = level, []
         kept.append([])
         for parent in parents:
-            lam, first, corners, children = grown[parent]
+            lam = shapes[parent]
             r = len(lam)
-            steps = ([(0, lam[:-1] + (lam[-1] + 1,))]  # within outer and below row r - 2
-                     if r and lam[-1] < min((outer[r - 1], *lam[-2:-1])) else [])
+            if r and lam[-1] < outer[r - 1] and (r == 1 or lam[-2] > lam[-1]):
+                grow(parent, 0, lam[:-1] + (lam[-1] + 1,))
             if r < len(outer):
-                steps.append((1, lam + (1,)))
-            for t, mu in steps:
-                last = len(mu) - 1
-                own, links = [(last, parent)], [first + (mu[last] > 1)]
-                for i, sub in corners:
-                    if i < last and mu[i] > mu[i + 1]:  # still a corner
-                        sub = grown[sub][3][t]
-                        own.append((i, sub))
-                        links.append(grown[sub][1] + len(links) + (mu[i] - 1 > mu[i + 1]))
-                children[t] = index = len(grown)
-                grown.append((mu, plan[-1][0] + 1, own, [-1, -1]))
-                plan.append((plan[-1][0] + 1 + len(links), len(mu), links))
-                level.append(index)
-                if keep is None or keep(mu):
-                    kept[-1].append(index)
+                grow(parent, 1, lam + (1,))
     return plan, kept
 
 
@@ -285,19 +292,17 @@ def _branching_sums(coords: Sequence[int], plan, times) -> list[int]:
     and s_lam(x_1..x_j) = G(lam, 0). So a shape's entries are the base and
     one per corner, last corner first, and each corner links to an entry of
     its sub-shape. Level j sweeps the plan, smallest first, holding only
-    level j - 1's table and its own; a shape longer than j has s = 0 there,
-    and zeros fill its entries. s_() is 1, and the C operator
+    level j - 1's table and its own. A shape longer than j sums to 0 there
+    with no test: its base is 0 on j - 1 variables, and each corner links to
+    a sub-shape at least j long, whose entry is 0. s_() is 1, and the C operator
     times(sub, coords[j - 1]) gives x_j sub, so no Python call runs per entry."""
     shapes, kept = plan
     prev = [1] + [0] * shapes[-1][0]
     for j, x in enumerate(coords, 1):
         table: list[int] = []
-        for last, rows, links in shapes:
+        for last, links in shapes:
             value = prev[last]
             table.append(value)
-            if rows > j:
-                table += [0] * len(links)
-                continue
             for link in links:
                 value += times(table[link], x)
                 table.append(value)

@@ -113,10 +113,11 @@ def parse_kind(text: str) -> StatisticsKind:
 
 
 def _tiled(cell: tuple[int, int], lam: Partition) -> bool:
-    """Is lam tiled by cells of a rows and b columns: its rows come in runs
-    of a equal ones, each a multiple of b long?"""
+    """Is lam tiled by cells of a rows and b columns: do its rows come in
+    runs of a equal ones (rows weakly decrease, so the last row of each run
+    equals the first), each a multiple of b long?"""
     a, b = cell
-    return tuple(b * (part // b) for part in lam[::a] for _ in range(a)) == lam
+    return lam[a - 1 :: a] == lam[::a] and all(part % b == 0 for part in lam)
 
 
 def admits(kind: StatisticsKind, lam: Partition) -> bool:

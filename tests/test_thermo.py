@@ -371,21 +371,30 @@ def test_product_weights_match_the_engine(kind, family, qmax, nmax):
             assert slope == pytest.approx(want_slope, rel=1e-14, abs=1e-300)
 
 
-# parabose:p admits the shapes of at most p rows, and on M levels a longer
-# shape has s_lam = 0: for p >= M (levels counted with degeneracy) its
-# weights are hst's, so it takes hst's power-sum pass and builds no polynomial.
-PARABOSE_ROUTES = [
+# On M levels (counted with degeneracy) a shape longer than M has s_lam = 0,
+# and at most nmax particles fill no row longer than nmax: a kind whose box,
+# its rows clamped to M and its columns to nmax, is hst's has hst's weights,
+# so it takes hst's power-sum pass and builds no polynomial.
+HST_ROUTES = [
     ("parabose:3", "eq2", 2, 12, True),  # M = 3
     ("parabose:2", "eq1", 2, 10, True),  # M = 2
     ("parabose:5", "eq1", 3, 9, True),  # M = 4 with a doubly degenerate level
     ("parabose:3", "eq2", 3, 12, False),  # M = 4
     ("parabose:3", "eq1", 3, 9, False),  # M = 4
+    ("parafermi:12", "eq2", 3, 12, True),  # p = nmax
+    ("parafermi:5", "eq1", 3, 4, True),  # p > nmax
+    ("pq:4:9", "eq1", 3, 9, True),  # M = 4 rows, nmax = 9 columns
+    ("pq:6:20", "eq2", 4, 10, True),
+    ("fermi", "eq2", 4, 1, True),  # one particle fills one column
+    ("parafermi:3", "eq2", 3, 4, False),
+    ("pq:3:9", "eq1", 3, 9, False),  # 3 rows of 4 levels
+    ("pq:4:8", "eq1", 3, 9, False),
 ]
 
 
-@pytest.mark.parametrize("kind,family,qmax,nmax,power_sums", PARABOSE_ROUTES)
-def test_parabose_on_at_most_p_levels_takes_the_power_sum_pass(monkeypatch, kind, family,
-                                                               qmax, nmax, power_sums):
+@pytest.mark.parametrize("kind,family,qmax,nmax,power_sums", HST_ROUTES)
+def test_a_kind_whose_clamped_box_is_hst_takes_the_power_sum_pass(monkeypatch, kind, family,
+                                                                  qmax, nmax, power_sums):
     passes, builds = [], []
     power_sum_pass, weight_polys = schurgas.thermo._power_sum_pass, schurgas.thermo._weight_polys
 
@@ -403,9 +412,8 @@ def test_parabose_on_at_most_p_levels_takes_the_power_sum_pass(monkeypatch, kind
     assert (len(passes), len(builds)) == ((1, 0) if power_sums else (0, 1))
 
 
-@pytest.mark.parametrize("kind,family,qmax,nmax",
-                         [key[:4] for key in PARABOSE_ROUTES if key[4]])
-def test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax):
+@pytest.mark.parametrize("kind,family,qmax,nmax", [key[:4] for key in HST_ROUTES if key[4]])
+def test_clamped_hst_power_sums_match_the_engine(kind, family, qmax, nmax):
     # the pass against a Horner pass over the engine's own rows, which the
     # test builds directly
     kind, spec, beta = parse_kind(kind), build_spectrum(family, qmax), 1.25
@@ -416,33 +424,6 @@ def test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax):
         assert a == pytest.approx(low * beta / 2, rel=1e-14)
         assert b == pytest.approx(math.log(value), rel=1e-14, abs=1e-14)
         assert e == pytest.approx(low / 2 + 0.5 * slope / value, rel=1e-14)
-
-
-# Any kind whose box, its rows clamped to M levels and its columns to nmax
-# particles, is hst's takes hst's pass too; the others build on the engine.
-CLAMPED_ROUTES = [
-    ("parafermi:12", "eq2", 3, 12, True),  # p = nmax
-    ("parafermi:5", "eq1", 3, 4, True),  # p > nmax
-    ("pq:4:9", "eq1", 3, 9, True),  # M = 4 rows, nmax = 9 columns
-    ("pq:6:20", "eq2", 4, 10, True),
-    ("fermi", "eq2", 4, 1, True),  # one particle fills one column
-    ("parafermi:3", "eq2", 3, 4, False),
-    ("pq:3:9", "eq1", 3, 9, False),  # 3 rows of 4 levels
-    ("pq:4:8", "eq1", 3, 9, False),
-]
-
-
-@pytest.mark.parametrize("kind,family,qmax,nmax,power_sums", CLAMPED_ROUTES)
-def test_a_kind_whose_clamped_box_is_hst_takes_the_power_sum_pass(monkeypatch, kind, family,
-                                                                  qmax, nmax, power_sums):
-    test_parabose_on_at_most_p_levels_takes_the_power_sum_pass(monkeypatch, kind, family,
-                                                               qmax, nmax, power_sums)
-
-
-@pytest.mark.parametrize("kind,family,qmax,nmax",
-                         [key[:4] for key in CLAMPED_ROUTES if key[4]])
-def test_clamped_hst_power_sums_match_the_engine(kind, family, qmax, nmax):
-    test_parabose_power_sums_match_the_engine(kind, family, qmax, nmax)
 
 
 def test_parabose_on_the_power_sum_pass_keeps_its_name():
