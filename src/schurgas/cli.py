@@ -123,7 +123,9 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
     shape = parse_shape(args.shape)
     check_schur_envelope(shape, args.point)
     scale, ys = clear_denominators(args.point)
-    tab = Fraction(schur_int_sums(ys, shape, sum(shape))[-1], scale ** sum(shape))
+    # a shape longer than the point has s_lam = 0 there, with no plan
+    n = sum(shape)
+    tab = Fraction(schur_int_sums(ys, shape, n)[-1] if len(shape) <= len(ys) else 0, scale ** n)
     try:
         alt: Fraction | None = schur_bialternant(shape, args.point)
     except DistinctnessViolation:

@@ -1,7 +1,8 @@
 """Exact Schur-function evaluation, Kostka numbers and monomial symmetric
 functions.
 
-One engine sums s_lam over the shapes in a box by the branching rule
+One engine sums s_lam over the shapes in a box tiled by its cells (each
+statistics' `shape_box`, or the shapes inside one lam) by the branching rule
 (Macdonald, Symmetric Functions and Hall Polynomials, I.5.11), taken one
 variable and one box at a time: a bottom-up sweep over levels that keeps
 only the previous level's values and the current level's table, with one
@@ -39,7 +40,8 @@ from .qpoly import OffsetPoly, qp_det
 Rational = int | Fraction
 EvalPoint = tuple[Fraction, ...]
 # The `schur` envelope, checked before any work. The engine's table is M
-# levels of the shapes inside lam, 3-12 us an entry. The bialternant makes M^3
+# levels of the shapes inside lam, 3-12 us an entry, and empty when lam is
+# longer than the point (s_lam = 0 there, with no plan). The bialternant makes M^3
 # Bareiss updates with quadratic division on up to M (lam_1 + M) b bits, b for
 # a coordinate: about 2e-14 s per unit of M^5 ((lam_1 + M) b)^2.
 SCHUR_MAX_BOXES = 500
@@ -234,51 +236,58 @@ def monomial_sym(mu: Partition, point: Sequence[Rational]) -> Fraction:
     return Fraction(rest(tuple(mu) + (0,) * (m - len(mu))), scale ** sum(mu))
 
 
-def _plan(outer: Partition, top: int, keep) -> tuple[list, list[list[int]]]:
-    """The engine's plan over the shapes inside outer of at most top boxes, in
-    size order: per shape, the place of its last entry in a level's table
-    and the places its corners link to (see _branching_sums); and
-    per size the indices of the shapes that keep accepts (None: all). A shape
-    grows from the one without a box of its last row, by lengthening that row
-    (t = 0) or by a new row (t = 1), so each grows once. Its last corner
+def _plan(outer: Partition, top: int, cell: tuple[int, int] = (1, 1)) -> tuple[list, ...]:
+    """The engine's plan over the shapes inside outer whose round-up to whole
+    cells of a rows and b columns (cell) stays inside outer with at most top
+    boxes, in size order: per shape, the place of its last entry in a
+    level's table and the places its corners link to (see _branching_sums);
+    per size the indices of the shapes tiled by the cells, those equal to
+    their round-up; and per shape its record, lam first. Removing a box
+    shrinks no round-up, so the plan is closed under it: the downward
+    closure of the tiled shapes. A shape grows from the one without a box of
+    its last row, by lengthening that row (t = 0) or by a new row (t = 1),
+    so each grows once, and its round-up gains a cell, the one place where
+    it may leave outer, only where that row starts a run of a rows and had
+    a multiple of b boxes. Its last corner
     links to that parent; any other corner i is one of the parent's, and
     lam - e_i is the child of kind t of the parent's sub-shape there."""
-    # per shape: lam, its first entry, its corners as row, sub-shape pairs in
-    # one list, and at 2 index + t its children
-    shapes, firsts, corners, children = [()], [0], [[]], [-1, -1]
-    plan, level = [(0, [])], [0]
-    kept = [[0] if keep is None or keep(()) else []]
+    a, b = cell
+    # per shape: lam, the place of its first entry, its corners as row,
+    # sub-shape pairs in one list, and its round-up's size; at 2 index + t
+    # its children
+    shapes, children = [((), 0, [], 0)], [-1, -1]
+    plan, level, kept = [(0, [])], [0], [[0]]
 
     def grow(parent: int, t: int, mu: Partition) -> None:
-        last = len(mu) - 1
-        own, links = [last, parent], [firsts[parent] + (mu[last] > 1)]
-        pairs = iter(corners[parent])
+        last, (_, first, pairs, size) = len(mu) - 1, shapes[parent]
+        if last % a == 0 and (mu[last] - 1) % b == 0:
+            size += a * b
+            if size > top or last + a > len(outer) or mu[last] + b - 1 > outer[last + a - 1]:
+                return
+        own, links = [last, parent], [first + (mu[last] > 1)]
+        pairs = iter(pairs)
         for i, sub in zip(pairs, pairs):
             if i < last and mu[i] > mu[i + 1]:  # still a corner
                 sub = children[2 * sub + t]
                 own += i, sub
-                links.append(firsts[sub] + len(links) + (mu[i] - 1 > mu[i + 1]))
+                links.append(shapes[sub][1] + len(links) + (mu[i] - 1 > mu[i + 1]))
         children[2 * parent + t] = index = len(shapes)
         children.extend((-1, -1))
-        shapes.append(mu)
-        firsts.append(plan[-1][0] + 1)
-        corners.append(own)
+        shapes.append((mu, plan[-1][0] + 1, own, size))
         plan.append((plan[-1][0] + 1 + len(links), links))
         level.append(index)
-        if keep is None or keep(mu):
+        if size == n:
             kept[-1].append(index)
 
-    for _ in range(top):
+    for n in range(1, top + 1):
         parents, level = level, []
         kept.append([])
         for parent in parents:
-            lam = shapes[parent]
-            r = len(lam)
-            if r and lam[-1] < outer[r - 1] and (r == 1 or lam[-2] > lam[-1]):
+            lam = shapes[parent][0]
+            if lam and (len(lam) == 1 or lam[-2] > lam[-1]):
                 grow(parent, 0, lam[:-1] + (lam[-1] + 1,))
-            if r < len(outer):
-                grow(parent, 1, lam + (1,))
-    return plan, kept
+            grow(parent, 1, lam + (1,))
+    return plan, kept, shapes
 
 
 def _branching_sums(coords: Sequence[int], plan, times) -> list[int]:
@@ -296,42 +305,45 @@ def _branching_sums(coords: Sequence[int], plan, times) -> list[int]:
     with no test: its base is 0 on j - 1 variables, and each corner links to
     a sub-shape at least j long, whose entry is 0. s_() is 1, and the C operator
     times(sub, coords[j - 1]) gives x_j sub, so no Python call runs per entry."""
-    shapes, kept = plan
-    prev = [1] + [0] * shapes[-1][0]
+    entries, kept, _ = plan
+    prev = [1] + [0] * entries[-1][0]
     for j, x in enumerate(coords, 1):
         table: list[int] = []
-        for last, links in shapes:
+        for last, links in entries:
             value = prev[last]
             table.append(value)
             for link in links:
                 value += times(table[link], x)
                 table.append(value)
         prev = table
-    return [sum(prev[shapes[i][0]] for i in group) for group in kept]
+    return [sum(prev[entries[i][0]] for i in group) for group in kept]
 
 
-def schur_int_sums(ys: Sequence[int], outer: Partition, top: int, keep=None) -> list[int]:
+def schur_int_sums(ys: Sequence[int], outer: Partition, top: int,
+                   cell: tuple[int, int] = (1, 1)) -> list[int]:
     """For each size n = 0..top, the sum of s_lam at the integer point ys
-    over the shapes lam of n boxes inside outer that keep accepts (all when
-    keep is None). A shape with more parts than there are coordinates
-    contributes 0, so only the first len(ys) rows of outer are planned."""
-    return _branching_sums(ys, _plan(tuple(outer[: len(ys)]), top, keep), mul)
+    over the shapes lam of n boxes inside outer tiled by cells of a rows and
+    b columns (cell; every shape for 1 x 1). A shape with more parts than
+    there are coordinates contributes 0, so only the first len(ys) rows of
+    outer are planned."""
+    return _branching_sums(ys, _plan(tuple(outer[: len(ys)]), top, cell), mul)
 
 
 def schur_qpoly_sums(exponents: Sequence[int], emax: int, outer: Partition, top: int,
-                     keep=None) -> list[OffsetPoly]:
+                     cell: tuple[int, int] = (1, 1)) -> list[OffsetPoly]:
     """For each size n = 0..top, the sum of s_lam at x_i = q^(e_i) (the e_i
     nonnegative integers) over the shapes of schur_int_sums, as an integer
     q-polynomial cut at degree emax >= 0, in offset form (low, coeffs), so
     zero is (0, []).
 
     The engine runs on ints at q = 2^W (Kronecker substitution), where
-    x_j sub is a left shift by W e_j. Coefficients are nonnegative and a
-    shape's sum to at most M^|lam| (fillings of its cells from M entries), so
-    a digit of W bits holds each coefficient of a size's sum, with W / 8 the
-    least number of bytes among 1, 2, 4, 8, 16, 24, ... (a power of two up to
-    8, a multiple of 8 above) that holds the largest kept count of a size n
-    times M^n. A sum's digits are read in one memoryview cast of its bytes in
+    x_j sub is a left shift by W e_j. Coefficients are nonnegative, and those
+    of a sum of distinct s_lam of n boxes add up to at most
+    sum_lam f^lam s_lam(1^M) = M^n (Macdonald I.7, f^lam >= 1), so a digit
+    of W bits holds each coefficient of a size's sum, with W / 8 the least
+    number of bytes among 1, 2, 4, 8, 16, 24, ... (a power of two up to 8, a
+    multiple of 8 above) that holds M^n for the largest size n with a kept
+    shape. A sum's digits are read in one memoryview cast of its bytes in
     native byte order, as words of at most 8 bytes; above 8 bytes each digit
     is joined from W / 64 such limbs, least significant first. Above 8 bytes
     a multiple of 8 pads a digit by at most 7 bytes, where a power of two
@@ -340,8 +352,8 @@ def schur_qpoly_sums(exponents: Sequence[int], emax: int, outer: Partition, top:
     if emax < 0:
         raise ValueError("emax must be nonnegative")
     m = len(exponents)
-    plan = _plan(tuple(outer[:m]), top, keep)
-    bound = max(len(group) * m ** n for n, group in enumerate(plan[1]))
+    plan = _plan(tuple(outer[:m]), top, cell)
+    bound = max(m ** n for n, group in enumerate(plan[1]) if group)
     width = 1  # bytes per coefficient
     while bound >> 8 * width:
         width += min(width, 8)
@@ -364,5 +376,8 @@ def schur_qpoly_sums(exponents: Sequence[int], emax: int, outer: Partition, top:
 
 def schur_qpoly(lam: Partition, exponents: Sequence[int], emax: int) -> OffsetPoly:
     """s_lam at x_i = q^(e_i), cut at degree emax: the last size of
-    schur_qpoly_sums on the shapes inside lam. Zero is (0, [])."""
+    schur_qpoly_sums on the shapes inside lam, and zero, (0, []), with no
+    plan when lam has more parts than there are exponents."""
+    if len(lam) > len(exponents):
+        return 0, []
     return schur_qpoly_sums(exponents, emax, lam, sum(lam))[-1]

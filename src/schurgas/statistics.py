@@ -15,7 +15,6 @@ admitted shapes by their counts alone, before any shape is generated.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
 from .partitions import Partition, count_partitions, count_parts, iter_partitions
 
@@ -134,15 +133,15 @@ def admits(kind: StatisticsKind, lam: Partition) -> bool:
 
 def shape_box(kind: StatisticsKind, levels: int, top: int):
     """The kind's shapes on `levels` levels with at most `top` boxes, as the
-    Schur engine's (outer, top, keep): R rows (at most levels, as a longer
-    shape has s_lam = 0) of C columns (at most top), top, and the cell test
-    of the tiled kinds, None for the others. Two kinds with the same box
-    sum the same shapes there."""
+    Schur engine's (outer, top, cell): R rows (at most levels, as a longer
+    shape has s_lam = 0) of C columns (at most top), top, and the cell that
+    tiles a kept shape. Two kinds with the same box sum the same shapes
+    there."""
     if top < 0:
         raise ValueError("n must be nonnegative")
     rows, cols, cell = kind.box
     rows, cols = min(rows or levels, levels), min(cols or top, top)
-    return (cols,) * rows if cols else (), top, None if cell == (1, 1) else partial(_tiled, cell)
+    return (cols,) * rows if cols else (), top, cell
 
 
 # The `partitions` envelope, checked before any shape is generated: the count

@@ -10,11 +10,11 @@ peak lower in memory. The live engine keeps one entry per corner row, so it
 also meets the tableau sum on shapes with repeated rows, and the q front's
 digit read, in every width class, meets the int front at q = 2.
 
-The live engine plans the shapes inside an outer shape up to a size, which
-for a statistics is its box (`statistics.shape_box`). `closure_walk` below is
-the plan it replaced, the downward closure of the admitted shapes, kept as
-the oracle of the box kinds' plans; the tiled kinds plan the whole hst box,
-a superset of theirs.
+The live engine plans the shapes inside an outer shape up to a size whose
+round-up to whole cells is a kept shape, which for a statistics is its box
+and cell (`statistics.shape_box`). `closure_walk` below is the plan it
+replaced, the downward closure of the admitted shapes, kept as the oracle
+of every plan.
 """
 
 import tracemalloc
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schurgas.equivalence import build_spectrum
-from schurgas.partitions import count_partitions, gen_partitions
+from schurgas.partitions import conjugate, count_partitions, gen_partitions
 from schurgas.qpoly import qp_add
 from schurgas.schur import _plan, _subshape_count, schur_int_sums, schur_qpoly_sums, schur_tableau
 from schurgas.statistics import (BOSE, EVEN_COLS, EVEN_ROWS, FERMI, HST, admitted_partitions,
@@ -110,27 +110,32 @@ def closure_walk(groups, m):
     return closure
 
 
-def shapes_inside(outer, top, keep=None):
-    """Per size n = 0..top, the shapes of n boxes inside outer that keep
-    accepts, by filtering every partition of n."""
+def tiled(cell, lam):
+    """Is lam tiled by cells of a rows and b columns: is each of its rows a
+    multiple of b long, and each of its columns a multiple of a?"""
+    a, b = cell
+    return all(part % b == 0 for part in lam) and all(col % a == 0 for col in conjugate(lam))
+
+
+def shapes_inside(outer, top, cell=(1, 1)):
+    """Per size n = 0..top, the shapes of n boxes inside outer tiled by the
+    cells, by filtering every partition of n."""
     return [[lam for lam in gen_partitions(n, max(n, 1)) if len(lam) <= len(outer)
-             and all(map(int.__le__, lam, outer)) and (keep is None or keep(lam))]
+             and all(map(int.__le__, lam, outer)) and tiled(cell, lam)]
             for n in range(top + 1)]
 
 
-def planned(outer, top):
-    """The shapes of _plan(outer, top), in plan order: its keep sees each once."""
-    seen = []
-    _plan(outer, top, lambda lam: seen.append(lam) is None)
-    return seen
+def planned(outer, top, cell=(1, 1)):
+    """The shapes of _plan(outer, top, cell), in plan order."""
+    return [record[0] for record in _plan(outer, top, cell)[2]]
 
 
 # every shape of weight at most 6, so some are longer than the point
 SHAPES = [lam for n in range(7) for lam in gen_partitions(n, max(n, 1))]
-# outer shapes, boxes among them, with the sizes to plan to and the shapes to keep
+# outer shapes, boxes among them, with the sizes to plan to and the cells
 OUTERS = SHAPES + [(3,) * 3, (2,) * 5, (6,), (1,) * 6]
-boxes = st.tuples(st.sampled_from(OUTERS), st.integers(0, 7),
-                  st.none() | st.frozensets(st.sampled_from(SHAPES)).map(lambda s: s.__contains__))
+CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]
+boxes = st.tuples(st.sampled_from(OUTERS), st.integers(0, 7), st.sampled_from(CELLS))
 # kinds a box does not close: their shapes lose their kind when a box goes
 SPARSE = [shape_box(kind, 4, 8) for kind in (EVEN_ROWS, EVEN_COLS)]
 
@@ -141,8 +146,8 @@ DERANDOMIZED = settings(derandomize=True, max_examples=80, deadline=None)
 @given(ys=st.lists(st.integers(-3, 3), max_size=5), box=boxes)
 @example(ys=[2, -1, 0, 2], box=SPARSE[0])  # zero, negative and repeated coordinates
 @example(ys=[2, -1, 0, 2], box=SPARSE[1])
-@example(ys=[], box=((1,), 1, None))
-@example(ys=[0, 0, 0], box=((3, 1, 1, 1), 6, {(1, 1, 1), (2,), (), (3, 1, 1, 1)}.__contains__))
+@example(ys=[], box=((1,), 1, (1, 1)))
+@example(ys=[0, 0, 0], box=((3, 1, 1, 1), 6, (2, 1)))
 def test_int_front_matches_the_product_engine(ys, box):
     assert schur_int_sums(ys, *box) == product_int_sums(ys, shapes_inside(*box))
 
@@ -151,12 +156,12 @@ def test_int_front_matches_the_product_engine(ys, box):
 @given(exps=st.lists(st.integers(0, 4), max_size=5), emax=st.integers(0, 12), box=boxes)
 @example(exps=[1, 0, 3, 1], emax=12, box=SPARSE[0])  # zero and repeated exponents
 @example(exps=[1, 0, 3, 1], emax=12, box=SPARSE[1])
-@example(exps=[2, 2, 5], emax=0, box=((2, 1, 1), 4, None))
-@example(exps=[3, 1], emax=3, box=((2, 1), 3, {(2,), (1, 1), (2, 1)}.__contains__))
-@example(exps=[], emax=4, box=((1,), 1, None))
+@example(exps=[2, 2, 5], emax=0, box=((2, 1, 1), 4, (1, 1)))
+@example(exps=[3, 1], emax=3, box=((2, 1), 3, (1, 2)))
+@example(exps=[], emax=4, box=((1,), 1, (1, 1)))
 # packing: a shape of 11 boxes on 2 levels bounds its digits by 2^11, two bytes
-@example(exps=(0, 0), emax=0, box=((11,), 11, None))
-@example(exps=(0,) * 24, emax=0, box=((10, 10, 10), 30, None))  # a 70-bit coefficient
+@example(exps=(0, 0), emax=0, box=((11,), 11, (1, 1)))
+@example(exps=(0,) * 24, emax=0, box=((10, 10, 10), 30, (1, 1)))  # a 70-bit coefficient
 def test_qpoly_front_matches_the_product_engine(exps, emax, box):
     sums = schur_qpoly_sums(exps, emax, *box)
     assert [[0] * low + coeffs for low, coeffs in sums] == product_qpoly_sums(
@@ -195,9 +200,9 @@ def assert_full_degree_at_two_is_the_int_front(exps, box):
 
 @DERANDOMIZED
 @given(exps=st.lists(st.integers(0, 3), min_size=1, max_size=5), outer=blocky_shape(),
-       keep=st.none() | st.frozensets(blocky_shape()).map(lambda s: s.__contains__))
-def test_qpoly_front_at_two_is_the_int_front(exps, outer, keep):
-    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), keep))
+       cell=st.sampled_from(CELLS))
+def test_qpoly_front_at_two_is_the_int_front(exps, outer, cell):
+    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), cell))
 
 
 @pytest.mark.parametrize("exps,outer,nbytes", [
@@ -210,12 +215,12 @@ def test_qpoly_front_at_two_is_the_int_front(exps, outer, keep):
     ((0,) * 40 + (1,) * 40, (20, 20), 32),  # four limbs, 130-bit coefficients
 ])
 def test_qpoly_digits_in_every_width_class(exps, outer, nbytes):
-    # nbytes holds the largest kept count of a size n times M^n; the digits
+    # nbytes holds M^n for the largest size n with a kept shape; the digits
     # are read in the next power of two up to 8 bytes, above 8 in the next
     # multiple of 8 from joined 8-byte limbs
-    bound = max(len(group) * len(exps) ** n for n, group in enumerate(shapes_inside(outer, sum(outer))))
+    bound = max(len(exps) ** n for n, group in enumerate(shapes_inside(outer, sum(outer))) if group)
     assert (bound.bit_length() + 7) // 8 == nbytes
-    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), None))
+    assert_full_degree_at_two_is_the_int_front(exps, (outer, sum(outer), (1, 1)))
 
 
 BOX_KINDS = [BOSE, FERMI, HST, parafermi(2), parafermi(3), parabose(2), parabose(3), pq(2, 3),
@@ -228,30 +233,46 @@ BOX_KINDS = [BOSE, FERMI, HST, parafermi(2), parafermi(3), parabose(2), parabose
 def test_box_plan_is_the_closure_of_the_admitted_shapes(kind, m, nmax):
     # a box is closed under removing boxes, so the closure walk finds no
     # shape outside it; per size the plan holds the box's partition count
-    outer, top, keep = shape_box(kind, m, nmax)
-    assert keep is None
+    outer, top, cell = shape_box(kind, m, nmax)
+    assert cell == (1, 1)
     shapes = planned(outer, top)
     assert len(shapes) == len(set(shapes))
     assert [sum(lam) for lam in shapes] == sorted(sum(lam) for lam in shapes)
     assert set(shapes) == closure_walk([admitted_partitions(kind, n, m) for n in range(nmax + 1)], m)
     rows, cols, _ = kind.box
-    kept = _plan(outer, top, None)[1]
+    kept = _plan(outer, top)[1]
     assert [len(group) for group in kept] == [count_partitions(n, min(rows or m, m), cols)
                                              for n in range(nmax + 1)]
 
 
-@pytest.mark.parametrize("kind", [EVEN_ROWS, EVEN_COLS])
-@pytest.mark.parametrize("m,nmax", [(1, 6), (3, 8), (4, 7), (5, 8)])
-def test_tiled_plan_is_the_hst_box(kind, m, nmax):
-    # the tiled kinds plan hst's box and keep their own shapes, a superset
-    # of the closure the walk found for them
-    outer, top, keep = shape_box(kind, m, nmax)
-    assert (outer, top) == shape_box(HST, m, nmax)[:2]
+@DERANDOMIZED
+@given(kind=st.sampled_from([EVEN_ROWS, EVEN_COLS]), m=st.integers(1, 9), nmax=st.integers(0, 12))
+@example(kind=EVEN_COLS, m=5, nmax=8)  # an odd number of levels
+def test_tiled_plan_is_the_closure_of_the_tiled_shapes(kind, m, nmax):
+    # the tiled kinds read hst's box with their cell, and plan only the
+    # shapes whose round-up to whole cells they admit: the closure the walk
+    # found for them; each size keeps exactly the kind's own shapes
+    outer, top, cell = shape_box(kind, m, nmax)
+    assert (outer, top, cell) == (*shape_box(HST, m, nmax)[:2], kind.box[2])
     admitted = [admitted_partitions(kind, n, m) for n in range(nmax + 1)]
-    shapes = planned(outer, top)
-    assert set(shapes) >= closure_walk(admitted, m)
-    assert [sorted(shapes[i] for i in group) for group in _plan(outer, top, keep)[1]] == [
+    shapes = planned(outer, top, cell)
+    assert len(shapes) == len(set(shapes))
+    assert set(shapes) == closure_walk(admitted, m)
+    assert [sorted(shapes[i] for i in group) for group in _plan(outer, top, cell)[1]] == [
         sorted(group) for group in admitted]
+
+
+@DERANDOMIZED
+@given(box=boxes)
+@example(box=((2, 2, 1), 5, (2, 2)))  # the round-up leaves outer
+@example(box=((3, 3, 3), 7, (1, 3)))  # the round-up passes top
+def test_plan_is_the_closure_of_its_kept_shapes(box):
+    # any outer, size and cell: each planned shape once, in size order, and
+    # exactly those whose round-up is kept
+    shapes = planned(*box)
+    assert len(shapes) == len(set(shapes))
+    assert [sum(lam) for lam in shapes] == sorted(sum(lam) for lam in shapes)
+    assert set(shapes) == closure_walk(shapes_inside(*box), len(box[0]))
 
 
 @pytest.mark.parametrize("lam", [(), (1,), (3, 1), (2, 2, 2), (4, 2, 2, 1), (1,) * 5,

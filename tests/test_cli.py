@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurgas import cli, partitions, statistics, thermo
+from schurgas import cli, partitions, schur, statistics, thermo
 from schurgas.cli import run
 from schurgas.equivalence import SpectrumSpec
 
@@ -140,6 +140,17 @@ def test_schur_refuses_past_its_envelope(capsys, monkeypatch, argv, reason):
     code, out, err = invoke(capsys, ["schur", *argv])
     assert (code, out) == (2, "")
     assert reason in err
+
+
+def test_schur_of_a_shape_longer_than_the_point_plans_nothing(capsys, monkeypatch):
+    # 401 boxes on 20 coordinates pass every check, the table counting 0;
+    # the engine would plan the C(40, 20) shapes inside the 20 x 20 square
+    # it cuts lam to, so s_lam = 0 must come before any plan
+    monkeypatch.setattr(schur, "_plan", refuse_work)
+    shape, point = ",".join(["20"] * 20 + ["1"]), ",".join(map(str, range(1, 21)))
+    code, out, _ = invoke(capsys, ["schur", "--shape", shape, "--point", point])
+    assert (code, out) == (0, "tableau = 0/1\nbialternant = 0/1\n")
+    assert schur.schur_qpoly((20,) * 20 + (1,), tuple(range(20)), 10) == (0, [])
 
 
 def test_schur_runs_inside_its_envelope(capsys):

@@ -18,7 +18,7 @@ from sympy import QQ, ring
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 
 from schurgas.canonical import z_canonical
-from schurgas.partitions import gen_partitions
+from schurgas.partitions import conjugate, gen_partitions
 from schurgas.schur import as_point, clear_denominators, schur_int_sums, schur_tableau
 from schurgas.series import DivisionInconsistency, gpf_definition, gpf_parafermi_det, gpf_product
 from schurgas.statistics import (
@@ -77,12 +77,12 @@ def test_gpf_definition_coefficients_are_z_canonical(kind, point, nmax):
 @given(ys=st.lists(st.integers(-4, 4), min_size=1, max_size=4))
 def test_int_sums_per_size(ys):
     # every size shares one sweep; shapes longer than the point contribute
-    # 0, and a size with no kept shape sums to 0
-    for outer, keep in (((5,) * 5, None), ((3, 1, 1, 1, 1), {(2, 1), (1, 1, 1, 1, 1)}.__contains__)):
+    # 0, and a size with no kept shape (one tiled by the cells) sums to 0
+    for outer, (a, b) in (((5,) * 5, (1, 1)), ((3, 1, 1, 1, 1), (2, 1))):
         groups = [[lam for lam in gen_partitions(n, max(n, 1)) if len(lam) <= len(outer)
-                   and all(map(int.__le__, lam, outer)) and (keep is None or keep(lam))]
-                  for n in range(6)]
-        sums = schur_int_sums(ys, outer, 5, keep)
+                   and all(map(int.__le__, lam, outer)) and all(p % b == 0 for p in lam)
+                   and all(c % a == 0 for c in conjugate(lam))] for n in range(6)]
+        sums = schur_int_sums(ys, outer, 5, (a, b))
         assert len(sums) == len(groups)
         for group, got in zip(groups, sums):
             assert isinstance(got, int)
@@ -90,10 +90,10 @@ def test_int_sums_per_size(ys):
 
 
 def test_int_sums_edge_cases():
-    assert schur_int_sums([2, 3], (4, 2, 1), 7, {(1, 1, 1), (3, 1, 1), (4, 2, 1)}.__contains__
-                          ) == [0] * 8
-    assert schur_int_sums([2, 3], (2, 1, 1), 3, {(), (1,), (2, 1), (1, 1), (1, 1, 1)}.__contains__
-                          ) == [1, 5, 6, 30]
+    # 3 x 1 cells need three rows, which two coordinates cut from outer
+    assert schur_int_sums([2, 3], (4, 2, 1), 7, (3, 1)) == [1] + [0] * 7
+    assert schur_int_sums([2, 3], (2, 1, 1), 3) == [1, 5, 25, 30]
+    assert schur_int_sums([2, 3], (2, 1, 1), 3, (2, 1)) == [1, 0, 6, 0]
     assert schur_int_sums([0, 5], (2,), 2) == [1, 5, 25]
     assert schur_int_sums([0, 5], (1, 1), 2) == [1, 5, 0]
     assert schur_int_sums([], (1,), 1) == [1, 0]
